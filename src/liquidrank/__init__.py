@@ -6,12 +6,16 @@ simulates how independent agencies agree on those snapshots, and scores
 computed reputations against labeled references.
 """
 
-from .config import EngineConfig, engine_config_from_text, load_engine_config
+from .config import (
+    ConsensusConfig,
+    EngineConfig,
+    engine_config_from_text,
+    load_engine_config,
+)
 from .consensus import (
     AgencyDecision,
     AgencyNode,
     Alert,
-    ConsensusConfig,
     NetworkModel,
     Outcome,
     SimulationResult,

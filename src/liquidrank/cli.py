@@ -20,7 +20,12 @@ import sys
 from pathlib import Path
 
 from . import consensus
-from .config import EngineConfig, load_engine_config, parse_key_values
+from .config import (
+    ConsensusConfig,
+    EngineConfig,
+    load_consensus_config,
+    load_engine_config,
+)
 from .engine import run_windows
 from .errors import (
     ConfigError,
@@ -43,7 +48,6 @@ def _window_json(window) -> dict:
 
 def cmd_compute(args: argparse.Namespace) -> int:
     cfg = load_engine_config(args.config) if args.config else EngineConfig()
-    cfg.validate()
     mode = window_mode_from_spec(args.window)
     records = load_log(args.log)
     t_origin = args.origin
@@ -104,44 +108,8 @@ def _parse_faulty_spec(spec: str, ids: list[str]) -> dict[str, str]:
     return out
 
 
-def _load_consensus_config(path: str) -> consensus.ConsensusConfig:
-    pairs = parse_key_values(Path(path).read_text(encoding="utf-8"))
-    cfg = consensus.ConsensusConfig()
-    for key, raw in pairs.items():
-        if key in ("min_identical", "max_nonidentical"):
-            try:
-                setattr(cfg, key, float(raw))
-            except ValueError:
-                raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-        elif key == "timeout":
-            try:
-                cfg.timeout = int(raw)
-            except ValueError:
-                raise ConfigError(f"timeout: expected an integer, got {raw!r}") from None
-        elif key == "por_weighted":
-            lowered = raw.lower()
-            if lowered in ("true", "1", "yes", "on"):
-                cfg.por_weighted = True
-            elif lowered in ("false", "0", "no", "off"):
-                cfg.por_weighted = False
-            else:
-                raise ConfigError(f"por_weighted: expected a boolean, got {raw!r}")
-        elif key.startswith("agency_reputation."):
-            agency = key[len("agency_reputation."):]
-            if not agency:
-                raise ConfigError("agency_reputation. key is missing the agency id")
-            try:
-                cfg.agency_reputations[agency] = float(raw)
-            except ValueError:
-                raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-        else:
-            raise ConfigError(f"unknown consensus config key {key!r}")
-    cfg.validate()
-    return cfg
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load_consensus_config(args.config) if args.config else consensus.ConsensusConfig()
+    cfg = load_consensus_config(args.config) if args.config else ConsensusConfig()
     if args.min_identical is not None:
         cfg.min_identical = args.min_identical
     if args.max_nonidentical is not None:
@@ -150,7 +118,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         cfg.timeout = args.timeout
     if args.por:
         cfg.por_weighted = True
-    cfg.validate()
     network = consensus.NetworkModel(
         delay_min=args.delay_min, delay_max=args.delay_max, drop_rate=args.drop_rate,
     )

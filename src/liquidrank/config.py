@@ -1,15 +1,16 @@
-"""Engine configuration and the flat key=value config file format.
+"""Engine and consensus configuration and their flat key=value file format.
 
 Config files are plain text, one ``key = value`` per line, ``#`` comments
 and blank lines allowed.  Keys mirror the field names of the config
 dataclasses; map-valued fields use dotted keys (``aspect_weight.speed``,
-``agency_reputation.a01``).  Unknown keys are errors.
+``agency_reputation.a01``).  Unknown keys are errors.  Both file kinds go
+through one parser, and each loaded config is validated once, on load.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -63,6 +64,48 @@ class EngineConfig:
                 raise ConfigError(f"aspect weight for {aspect!r} must be positive, got {weight}")
 
 
+@dataclass
+class ConsensusConfig:
+    """Protocol thresholds.
+
+    Without reputation weighting ``min_identical`` (the acceptance quorum)
+    and ``max_nonidentical`` (the receipt cap that forces resolution) are
+    whole counts; with ``por_weighted`` they are thresholds on sums of the
+    sender reputations from ``agency_reputations`` (unknown senders weigh
+    1.0).  ``timeout`` is measured in ticks since a node's first receipt
+    of the cycle.
+    """
+
+    min_identical: float = 2
+    max_nonidentical: float = 4
+    timeout: int = 10
+    por_weighted: bool = False
+    agency_reputations: dict[str, float] = field(default_factory=dict)
+
+    def validate(self) -> None:
+        for name in ("min_identical", "max_nonidentical"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ConfigError(f"{name} must be a finite number, got {v!r}")
+            if not self.por_weighted and v != int(v):
+                raise ConfigError(f"{name} must be an integer without reputation weighting")
+        if self.por_weighted:
+            if not self.min_identical > 0:
+                raise ConfigError("min_identical weight threshold must be positive")
+            if not self.max_nonidentical > 0:
+                raise ConfigError("max_nonidentical weight threshold must be positive")
+        else:
+            if self.min_identical < 2:
+                raise ConfigError("min_identical must be at least 2")
+            if self.max_nonidentical < 1:
+                raise ConfigError("max_nonidentical must be at least 1")
+        if self.timeout < 1:
+            raise ConfigError("timeout must be at least 1 tick")
+        for agency, rep in self.agency_reputations.items():
+            if not (isinstance(rep, (int, float)) and math.isfinite(rep) and 0.0 <= rep <= 1.0):
+                raise ConfigError(f"agency reputation for {agency!r} must lie in [0, 1]")
+
+
 def parse_key_values(text: str) -> dict[str, str]:
     """Split flat config text into a key -> raw string map."""
     out: dict[str, str] = {}
@@ -83,53 +126,62 @@ def parse_key_values(text: str) -> dict[str, str]:
     return out
 
 
-def _as_float(key: str, raw: str) -> float:
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
+
+# Field annotation (a string under ``from __future__ import annotations``)
+# -> converter of the raw value, and what the error says was expected.
+_SCALARS = {
+    "float": (float, "a number"),
+    "int": (int, "an integer"),
+    "bool": (lambda raw: _BOOLS[raw.lower()], "a boolean"),
+}
+
+
+def _convert(key: str, raw: str, annotation: str):
+    convert, expected = _SCALARS[annotation]
     try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+        return convert(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
 
 
-def _as_bool(key: str, raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+def _config_from_text(cfg, text: str, kind: str, maps: dict[str, tuple[str, str]]):
+    """Fill ``cfg`` from flat key=value text, then validate it.
 
-
-_ENGINE_FLOAT_KEYS = (
-    "default_reputation",
-    "default_aspect_weight",
-    "blend_stake",
-    "blend_transaction",
-    "decay_recent",
-    "decay_past",
-    "rater_weight_floor",
-)
-_ENGINE_BOOL_KEYS = ("use_log_financial", "use_log_differential")
-
-
-def engine_config_from_text(text: str) -> EngineConfig:
-    """Build a validated :class:`EngineConfig` from flat key=value text."""
-    pairs = parse_key_values(text)
-    cfg = EngineConfig()
-    for key, raw in pairs.items():
-        if key in _ENGINE_FLOAT_KEYS:
-            setattr(cfg, key, _as_float(key, raw))
-        elif key in _ENGINE_BOOL_KEYS:
-            setattr(cfg, key, _as_bool(key, raw))
-        elif key.startswith("aspect_weight."):
-            aspect = key[len("aspect_weight."):]
-            if not aspect:
-                raise ConfigError("aspect_weight. key is missing the aspect name")
-            cfg.aspect_weights[aspect] = _as_float(key, raw)
+    ``maps`` sends a dotted key prefix to the float map field it fills and
+    to the name of what follows the dot, for the error on a bare prefix.
+    """
+    scalars = {f.name: f.type for f in fields(cfg) if f.type in _SCALARS}
+    for key, raw in parse_key_values(text).items():
+        prefix, dot, entry = key.partition(".")
+        if dot and prefix in maps:
+            map_field, entry_noun = maps[prefix]
+            if not entry:
+                raise ConfigError(f"{prefix}. key is missing the {entry_noun}")
+            getattr(cfg, map_field)[entry] = _convert(key, raw, "float")
+        elif key in scalars:
+            setattr(cfg, key, _convert(key, raw, scalars[key]))
         else:
-            raise ConfigError(f"unknown engine config key {key!r}")
+            raise ConfigError(f"unknown {kind} config key {key!r}")
     cfg.validate()
     return cfg
 
 
+def engine_config_from_text(text: str) -> EngineConfig:
+    """Build a validated :class:`EngineConfig` from flat key=value text."""
+    return _config_from_text(
+        EngineConfig(), text, "engine", {"aspect_weight": ("aspect_weights", "aspect name")},
+    )
+
+
 def load_engine_config(path: str | Path) -> EngineConfig:
     return engine_config_from_text(Path(path).read_text(encoding="utf-8"))
+
+
+def load_consensus_config(path: str | Path) -> ConsensusConfig:
+    """Build a validated :class:`ConsensusConfig` from a key=value file."""
+    return _config_from_text(
+        ConsensusConfig(), Path(path).read_text(encoding="utf-8"), "consensus",
+        {"agency_reputation": ("agency_reputations", "agency id")},
+    )

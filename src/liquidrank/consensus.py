@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
+from .config import ConsensusConfig
 from .errors import ConfigError
 from .model import ReputationState
 from .store import state_digest
@@ -90,46 +90,6 @@ class AgencyDecision:
         }
 
 
-@dataclass
-class ConsensusConfig:
-    """Protocol thresholds.
-
-    Without reputation weighting ``min_identical`` (the acceptance quorum)
-    and ``max_nonidentical`` (the receipt cap that forces resolution) are
-    whole counts; with ``por_weighted`` they are thresholds on sums of the
-    sender reputations from ``agency_reputations`` (unknown senders weigh
-    1.0).  ``timeout`` is measured in ticks since a node's first receipt
-    of the cycle.
-    """
-
-    min_identical: float = 2
-    max_nonidentical: float = 4
-    timeout: int = 10
-    por_weighted: bool = False
-    agency_reputations: dict[AgencyId, float] = field(default_factory=dict)
-
-    def validate(self) -> None:
-        if self.por_weighted:
-            if not self.min_identical > 0:
-                raise ConfigError("min_identical weight threshold must be positive")
-            if not self.max_nonidentical > 0:
-                raise ConfigError("max_nonidentical weight threshold must be positive")
-        else:
-            for name in ("min_identical", "max_nonidentical"):
-                v = getattr(self, name)
-                if v != int(v):
-                    raise ConfigError(f"{name} must be an integer without reputation weighting")
-            if self.min_identical < 2:
-                raise ConfigError("min_identical must be at least 2")
-            if self.max_nonidentical < 1:
-                raise ConfigError("max_nonidentical must be at least 1")
-        if self.timeout < 1:
-            raise ConfigError("timeout must be at least 1 tick")
-        for agency, rep in self.agency_reputations.items():
-            if not (isinstance(rep, (int, float)) and math.isfinite(rep) and 0.0 <= rep <= 1.0):
-                raise ConfigError(f"agency reputation for {agency!r} must lie in [0, 1]")
-
-
 class AgencyNode:
     """Per-agency decision state machine for one cycle at a time.
 
@@ -140,7 +100,6 @@ class AgencyNode:
     """
 
     def __init__(self, agency_id: AgencyId, cfg: ConsensusConfig, cycle: int = 0):
-        cfg.validate()
         self.agency_id = agency_id
         self.cfg = cfg
         self.cycle = cycle

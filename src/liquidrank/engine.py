@@ -10,9 +10,10 @@ blended, optionally log-compressed to blunt winner-takes-all dynamics,
 normalized to unit maximum magnitude across the window, and merged into
 the prior state proportionally to elapsed time.
 
-All per-participant maps are built in sorted-participant order so that a
-given log and config produce byte-identical serialized states on every
-run.
+Per-window maps are built in sorted-participant order.  The running state
+keeps its participants in first-seen order: the canonical byte order of a
+snapshot is fixed by ``store.serialize_state`` alone, so a given log and
+config still produce byte-identical serialized states on every run.
 """
 
 from __future__ import annotations
@@ -246,12 +247,8 @@ def update_state(
         )
     w_past = cfg.decay_past * (window.t_prev - window.t_origin)
     w_recent = cfg.decay_recent * (window.t_now - window.t_prev)
-    new_values: dict[ParticipantId, float] = {}
-    for pid in sorted(set(prev.values) | set(normalized)):
-        if pid not in normalized:
-            new_values[pid] = prev.values[pid]
-            continue
-        target = normalized[pid]
+    new_values = dict(prev.values)
+    for pid, target in normalized.items():
         if w_past == 0.0:
             merged = target
         elif w_recent == 0.0:
@@ -312,7 +309,6 @@ def run_pipeline(
     An empty window leaves all values unchanged and only advances the
     state timestamp.
     """
-    cfg.validate()
     stakes = [rec for rec in records if rec.kind is Kind.STAKE]
     transactions = [rec for rec in records if rec.kind is Kind.TRANSACTION]
     staked = differential_staked(stakes, prev, cfg)
@@ -339,9 +335,13 @@ def run_windows(
     cfg: EngineConfig,
     initial: ReputationState | None = None,
 ) -> Iterator[tuple[TimeWindow, ReputationState, DifferentialReputation]]:
-    """Partition a log and fold every window through the pipeline."""
+    """Partition a log and fold every window through the pipeline.
+
+    ``cfg`` is validated here, once for the whole run.
+    """
     from .ingest import partition
 
+    cfg.validate()
     state = initial if initial is not None else ReputationState(at=t_origin, values={})
     for window, chunk in partition(records, mode, t_origin):
         state, diff = run_pipeline(chunk, window, state, cfg)

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import CorrelationUndefinedError, RecordError
 from .model import ParticipantId, ReputationState
 
@@ -47,15 +45,16 @@ def pearson(
         raise CorrelationUndefinedError(
             f"undefined correlation: need at least 2 comparable participants, got {len(pairs)}"
         )
-    x = np.array([p[0] for p in pairs], dtype=float)
-    y = np.array([p[1] for p in pairs], dtype=float)
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = float(np.dot(dx, dx))
-    sy = float(np.dot(dy, dy))
+    n = len(pairs)
+    mean_x = math.fsum(x for x, _ in pairs) / n
+    mean_y = math.fsum(y for _, y in pairs) / n
+    dx = [x - mean_x for x, _ in pairs]
+    dy = [y - mean_y for _, y in pairs]
+    sx = math.fsum(d * d for d in dx)
+    sy = math.fsum(d * d for d in dy)
     if sx == 0.0 or sy == 0.0:
         raise CorrelationUndefinedError("undefined correlation: constant series")
-    return float(np.dot(dx, dy) / math.sqrt(sx * sy))
+    return math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(sx * sy)
 
 
 @dataclass(frozen=True)
@@ -74,16 +73,16 @@ def distribution_stats(state: ReputationState) -> DistributionStats:
     """
     if not state.values:
         raise ValueError("distribution_stats needs a non-empty state")
-    values = np.sort(np.array(list(state.values.values()), dtype=float))
-    n = values.size
-    total = float(values.sum())
-    nonzero_fraction = float(np.count_nonzero(values) / n)
+    values = sorted(state.values.values())
+    n = len(values)
+    total = math.fsum(values)
+    nonzero_fraction = sum(1 for v in values if v != 0.0) / n
     if total == 0.0:
         return DistributionStats(gini=0.0, top_share=0.0, nonzero_fraction=0.0)
-    ranks = np.arange(1, n + 1, dtype=float)
-    gini = float(2.0 * np.dot(ranks, values) / (n * total) - (n + 1) / n)
+    ranked_sum = math.fsum(rank * v for rank, v in enumerate(values, start=1))
+    gini = 2.0 * ranked_sum / (n * total) - (n + 1) / n
     top_n = math.ceil(n * 0.01)
-    top_share = float(values[n - top_n:].sum() / total)
+    top_share = math.fsum(values[n - top_n:]) / total
     return DistributionStats(gini=gini, top_share=top_share, nonzero_fraction=nonzero_fraction)
 
 

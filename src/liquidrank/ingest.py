@@ -6,8 +6,10 @@ Two log formats are supported.  CSV rows carry exactly the columns
 
 with an empty string for an absent optional field and no header row.
 JSONL files carry one object per line with the same nine field names;
-optional fields may be null or missing.  A missing or empty weight
-defaults to 1.0 so unbacked ratings still count with unit weight.
+optional fields may be null or missing, and a present field must have
+its JSON type: a string for the ids, kind and labels, a number for value
+and weight, an integer for timestamp.  A missing or empty weight defaults
+to 1.0 so unbacked ratings still count with unit weight.
 Records are validated on parse and errors carry 1-based line numbers.
 """
 
@@ -87,9 +89,11 @@ def window_mode_from_spec(spec: str) -> WindowMode:
 
 
 _CSV_COLUMNS = 9
+# JSON types each field accepts besides null; a bool is neither int nor float.
 _JSON_FIELDS = {
-    "rater", "ratee", "kind", "aspect", "category",
-    "value", "weight", "event", "timestamp",
+    "rater": (str,), "ratee": (str,), "kind": (str,), "aspect": (str,),
+    "category": (str,), "value": (int, float), "weight": (int, float),
+    "event": (str,), "timestamp": (int,),
 }
 
 
@@ -111,14 +115,14 @@ def _build_record(
         raise RecordError(f"unknown rating kind {kind!r}", line) from None
     try:
         value_f = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise RecordError(f"rating value {value!r} is not a number", line) from None
     if weight is None or weight == "":
         weight_f = 1.0
     else:
         try:
             weight_f = float(weight)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise RecordError(f"rating weight {weight!r} is not a number", line) from None
     try:
         ts = int(timestamp)
@@ -160,7 +164,9 @@ def _parse_csv(text: str) -> list[RatingRecord]:
 
 def _parse_jsonl(text: str) -> list[RatingRecord]:
     records = []
-    for line_num, raw in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" only: a JSON string may hold U+2028 and other
+    # characters that str.splitlines() breaks on.
+    for line_num, raw in enumerate(text.split("\n"), start=1):
         if not raw.strip():
             continue
         try:
@@ -169,9 +175,12 @@ def _parse_jsonl(text: str) -> list[RatingRecord]:
             raise RecordError(f"invalid JSON: {exc.msg}", line_num) from None
         if not isinstance(obj, dict):
             raise RecordError("expected a JSON object", line_num)
-        unknown = set(obj) - _JSON_FIELDS
+        unknown = obj.keys() - _JSON_FIELDS.keys()
         if unknown:
             raise RecordError(f"unknown fields {sorted(unknown)}", line_num)
+        for name, value in obj.items():
+            if value is not None and type(value) not in _JSON_FIELDS[name]:
+                raise RecordError(f"field {name!r} has the wrong type: {value!r}", line_num)
         for required in ("rater", "ratee", "kind", "value", "timestamp"):
             if obj.get(required) is None:
                 raise RecordError(f"missing required field {required!r}", line_num)

@@ -1,13 +1,15 @@
 """Core domain types: rating records, time windows, reputation states.
 
 Participants are identified by opaque non-empty string tokens.  Identifiers
-may not contain commas or line breaks because they are embedded verbatim in
-the canonical snapshot serialization (see ``liquidrank.store``).
+may not contain a comma, line feed or carriage return because they are
+embedded verbatim in the canonical snapshot serialization, whose rows end
+at a line feed (see ``liquidrank.store``).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from .errors import RecordError
@@ -60,8 +62,8 @@ class RatingRecord:
             raise RecordError(f"unknown rating kind {self.kind!r}")
         if not -1.0 <= self.value <= 1.0:
             raise RecordError(f"rating value {self.value!r} outside [-1, 1]")
-        if not self.weight >= 0.0:
-            raise RecordError(f"rating weight {self.weight!r} must be non-negative")
+        if not (math.isfinite(self.weight) and self.weight >= 0.0):
+            raise RecordError(f"rating weight {self.weight!r} must be finite and non-negative")
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,11 @@ def serialize_state(state: ReputationState) -> bytes:
 
 def deserialize_state(data: bytes) -> ReputationState:
     """Inverse of :func:`serialize_state`; validates the value range."""
-    text = data.decode("utf-8")
-    lines = text.splitlines()
+    # Rows end at "\n" only: ids may hold other characters splitlines() breaks
+    # on.  A CRLF row still parses because int() and float() strip the "\r".
+    lines = data.decode("utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()
     if not lines:
         raise RecordError("empty snapshot")
     try:

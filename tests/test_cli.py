@@ -7,10 +7,15 @@ printed output are asserted directly.
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import liquidrank
 from liquidrank.cli import main
 from liquidrank.evaluate import distribution_stats, pearson
 from liquidrank.store import load_snapshot
@@ -124,6 +129,20 @@ def test_compute_unknown_config_key_exits_2(tmp_path, capsys):
     assert "frobnicate" in err
 
 
+@pytest.mark.parametrize("cfg_text", [
+    "use_log_financial = maybe\n",
+    "aspect_weight. = 0.5\n",
+    "blend_stake = lots\n",
+])
+def test_compute_bad_config_file_exits_2(tmp_path, capsys, cfg_text):
+    log = _write(tmp_path / "ratings.csv", _LOG_3)
+    cfg = _write(tmp_path / "engine.cfg", cfg_text)
+    code, _, err = _run(capsys, "compute", "--log", log, "--window", "whole",
+                        "--out", str(tmp_path / "out"), "--config", cfg)
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_compute_bad_window_spec_exits_2(tmp_path, capsys):
     log = _write(tmp_path / "ratings.csv", _LOG_3)
     code, _, err = _run(capsys, "compute", "--log", log, "--window", "daily",
@@ -133,15 +152,13 @@ def test_compute_bad_window_spec_exits_2(tmp_path, capsys):
 
 
 def test_compute_invalid_record_names_its_line(tmp_path, capsys):
-    bad = (
-        "alice,bob,stake,,,1.0,1,,100\n"
-        "bob,bob,transaction,,,0.5,1,,200\n"
-    )
-    log = _write(tmp_path / "ratings.csv", bad)
-    code, _, err = _run(capsys, "compute", "--log", log, "--window", "whole",
-                        "--out", str(tmp_path / "out"))
-    assert code == 1
-    assert "line 2" in err
+    for bad_row in ("bob,bob,transaction,,,0.5,1,,200\n",
+                    "bob,carol,transaction,,,0.5,inf,,200\n"):
+        log = _write(tmp_path / "ratings.csv", "alice,bob,stake,,,1.0,1,,100\n" + bad_row)
+        code, _, err = _run(capsys, "compute", "--log", log, "--window", "whole",
+                            "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "line 2" in err
 
 
 def test_compute_missing_log_exits_1(tmp_path, capsys):
@@ -358,6 +375,8 @@ def test_simulate_consensus_config_file(tmp_path, capsys):
     "por_weighted = maybe\n",
     "agency_reputation. = 0.5\n",
     "min_identical = lots\n",
+    "min_identical = nan\n",
+    "max_nonidentical = inf\n",
 ])
 def test_simulate_bad_config_file_exits_2(tmp_path, capsys, cfg_text):
     cfg = _write(tmp_path / "consensus.cfg", cfg_text)
@@ -400,3 +419,16 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["transmogrify"])
     assert exc.value.code == 2
+
+
+# -- dependencies ------------------------------------------------------------
+
+
+def test_cli_import_does_not_load_numpy():
+    src = Path(liquidrank.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import liquidrank.cli, sys; assert 'numpy' not in sys.modules"],
+        env=env, check=True, timeout=60,
+    )

@@ -95,6 +95,10 @@ def test_csv_bad_kind_and_bad_numbers():
 def test_csv_negative_weight_rejected():
     with pytest.raises(RecordError):
         parse_log("a,b,stake,,,1.0,-3,,0\n", "csv")
+    for weight in ("inf", "nan"):
+        with pytest.raises(RecordError) as err:
+            parse_log(f"a,b,transaction,,,0.5,{weight},,1\n", "csv")
+        assert "line 1" in str(err.value)
 
 
 def test_parse_log_accepts_bytes_and_streams():
@@ -123,13 +127,23 @@ def test_jsonl_roundtrip_and_defaults():
     assert records[1].aspect == "speed"
     assert records[1].category is None
     assert records[1].weight == 9.0
+    # a raw U+2028 is legal inside a JSON string and does not end the line
+    odd = parse_log('{"rater": "a", "ratee": "b\u2028c", "kind": "stake", "value": 1, "timestamp": 5}\n', "jsonl")
+    assert odd[0].ratee == "b\u2028c"
 
 
 def test_jsonl_error_line_numbers():
-    text = '{"rater": "a", "ratee": "b", "kind": "stake", "value": 1.0, "timestamp": 0}\nnot json\n'
-    with pytest.raises(RecordError) as err:
-        parse_log(text, "jsonl")
-    assert "line 2" in str(err.value)
+    good = '{"rater": "a", "ratee": "b", "kind": "stake", "value": 1.0, "timestamp": 0}\n'
+    for bad in (
+        "not json",
+        '{"rater": 5, "ratee": "b", "kind": "stake", "value": 1.0, "timestamp": 0}',
+        '{"rater": "a", "ratee": "b", "kind": "stake", "value": true, "timestamp": 0}',
+        '{"rater": "a", "ratee": "b", "kind": "stake", "value": 1.0, "timestamp": 1.9}',
+        '{"rater": "a", "ratee": "b", "kind": "stake", "value": 1' + "0" * 400 + ', "timestamp": 0}',
+    ):
+        with pytest.raises(RecordError) as err:
+            parse_log(good + bad + "\n", "jsonl")
+        assert "line 2" in str(err.value)
 
 
 def test_jsonl_unknown_field_rejected():

@@ -40,14 +40,19 @@ def test_serialize_empty_state():
 
 def test_roundtrip_identity():
     rng = random.Random(77)
+    # characters str.splitlines() breaks on are legal inside participant ids
+    odd_ids = ["b\x0cx", "c\x1ey", "d\x85z", "e\u2028w"]
     for _ in range(200):
         values = {
             f"p{rng.randint(0, 999)}": rng.random() for _ in range(rng.randint(0, 15))
         }
+        values.update((pid, rng.random()) for pid in rng.sample(odd_ids, rng.randint(0, 2)))
         state = _state(rng.randint(0, 10**9), values)
-        back = deserialize_state(serialize_state(state))
-        assert back.at == state.at
-        assert back.values == state.values  # full precision
+        data = serialize_state(state)
+        for encoded in (data, data.replace(b"\n", b"\r\n")):
+            back = deserialize_state(encoded)
+            assert back.at == state.at
+            assert back.values == state.values  # full precision
 
 
 def test_shortest_roundtrip_decimal():
