@@ -401,17 +401,7 @@ def run_simulation(
                 own_digest = _perturbed_digest(cycle, f"{sender}->{sender}")
             else:
                 own_digest = base_digest
-
-            if fault == EQUIVOCATING:
-                for receiver in ids:
-                    if receiver == sender:
-                        continue
-                    digest = _perturbed_digest(cycle, f"{sender}->{receiver}")
-                    events.append(TranscriptEvent(
-                        tick=t0, type="send", cycle=cycle,
-                        sender=sender, receiver=receiver, digest=digest,
-                    ))
-            else:
+            if fault != EQUIVOCATING:
                 events.append(TranscriptEvent(
                     tick=t0, type="send", cycle=cycle, sender=sender, digest=own_digest,
                 ))
@@ -424,14 +414,16 @@ def run_simulation(
             for receiver in ids:
                 if receiver == sender:
                     continue
-                delay = rng.randint(network.delay_min, network.delay_max)
-                dropped = rng.random() < network.drop_rate
-                if dropped:
-                    continue
+                digest = own_digest
                 if fault == EQUIVOCATING:
                     digest = _perturbed_digest(cycle, f"{sender}->{receiver}")
-                else:
-                    digest = own_digest
+                    events.append(TranscriptEvent(
+                        tick=t0, type="send", cycle=cycle,
+                        sender=sender, receiver=receiver, digest=digest,
+                    ))
+                delay = rng.randint(network.delay_min, network.delay_max)
+                if rng.random() < network.drop_rate:
+                    continue
                 msg_counter += 1
                 deliveries.setdefault(t0 + delay, []).append(
                     (sender, msg_counter, receiver, StateDigest(cycle, digest, sender)),
@@ -475,6 +467,11 @@ def run_simulation(
 
 def summarize(result: SimulationResult) -> dict:
     """Per-cycle outcome counts, alert counts, named divergents, rewards."""
+    alerts_by_cycle: list[dict[str, int]] = [{} for _ in range(result.cycles)]
+    for ev in result.events:
+        if ev.type == "alert":
+            alerts = alerts_by_cycle[ev.cycle]
+            alerts[ev.alert.kind] = alerts.get(ev.alert.kind, 0) + 1
     per_cycle = []
     for cycle in range(result.cycles):
         outcomes = {o.value: 0 for o in Outcome}
@@ -487,14 +484,10 @@ def summarize(result: SimulationResult) -> dict:
             else:
                 outcomes[decision.outcome.value] += 1
                 divergent.update(decision.divergent)
-        alerts: dict[str, int] = {}
-        for ev in result.events:
-            if ev.type == "alert" and ev.cycle == cycle:
-                alerts[ev.alert.kind] = alerts.get(ev.alert.kind, 0) + 1
         per_cycle.append({
             "cycle": cycle,
             "outcomes": outcomes,
-            "alerts": dict(sorted(alerts.items())),
+            "alerts": dict(sorted(alerts_by_cycle[cycle].items())),
             "divergent": sorted(divergent),
             "rewards": result.rewards[cycle],
         })

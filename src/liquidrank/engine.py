@@ -10,10 +10,11 @@ blended, optionally log-compressed to blunt winner-takes-all dynamics,
 normalized to unit maximum magnitude across the window, and merged into
 the prior state proportionally to elapsed time.
 
-Per-window maps are built in sorted-participant order.  The running state
-keeps its participants in first-seen order: the canonical byte order of a
-snapshot is fixed by ``store.serialize_state`` alone, so a given log and
-config still produce byte-identical serialized states on every run.
+Per-window maps and the running state keep their participants in
+first-seen order, which is deterministic for a given log.  The canonical
+byte order of a snapshot is fixed by ``store.serialize_state`` alone, so a
+given log and config still produce byte-identical serialized states on
+every run.
 """
 
 from __future__ import annotations
@@ -66,9 +67,7 @@ def _aspect_weight(aspect: str | None, cfg: EngineConfig) -> float:
 
 
 def _option_key(key):
-    """Sort key that tolerates None labels inside group keys."""
-    if isinstance(key, tuple):
-        return tuple(_option_key(part) for part in key)
+    """Sort key that puts a None label before every string label."""
     if key is None:
         return (0, "")
     return (1, key)
@@ -90,7 +89,9 @@ def _weighted_means(
     weight of each record.  Records whose backing (weight times rater
     reputation) is zero are skipped outright: they would contribute nothing
     to the sums, and skipping them also keeps a zero-reputation rater from
-    widening the aspect-weight sum.
+    widening the aspect-weight sum.  Aspects are summed in sorted order,
+    which fixes the floating-point result.  A group whose backing total or
+    mean overflows is a record error: its value would be meaningless.
     """
     groups: dict[GroupKey, list[int]] = {}
     for idx, rec in enumerate(records):
@@ -99,10 +100,10 @@ def _weighted_means(
         groups.setdefault(group_key(rec), []).append(idx)
 
     out: dict[GroupKey, float] = {}
-    for gkey in sorted(groups, key=_option_key):
+    for gkey, idxs in groups.items():
         value_sums: dict[str | None, float] = {}
         backing_total = 0.0
-        for idx in groups[gkey]:
+        for idx in idxs:
             rec = records[idx]
             backing = weights[idx] * _rater_weight(rec.rater, prev, cfg)
             if backing == 0.0:
@@ -111,19 +112,20 @@ def _weighted_means(
             backing_total += backing
         if backing_total == 0.0:
             continue
-        if aspect_weighted:
-            numerator = 0.0
-            aspect_total = 0.0
-            for aspect in sorted(value_sums, key=_option_key):
-                h = _aspect_weight(aspect, cfg)
-                numerator += h * value_sums[aspect]
-                aspect_total += h
-            out[gkey] = numerator / (backing_total * aspect_total)
-        else:
-            numerator = 0.0
-            for aspect in sorted(value_sums, key=_option_key):
-                numerator += value_sums[aspect]
-            out[gkey] = numerator / backing_total
+        numerator = 0.0
+        aspect_total = 0.0
+        for aspect in sorted(value_sums, key=_option_key):
+            h = _aspect_weight(aspect, cfg) if aspect_weighted else 1.0
+            numerator += h * value_sums[aspect]
+            aspect_total += h
+        denominator = backing_total * aspect_total if aspect_weighted else backing_total
+        mean = numerator / denominator
+        if not (math.isfinite(denominator) and math.isfinite(mean)):
+            raise RecordError(
+                f"ratee {records[idxs[0]].ratee!r}: weighted mean overflows "
+                f"in the window from t={prev.at}"
+            )
+        out[gkey] = mean
     return out
 
 
@@ -189,7 +191,7 @@ def blend(
     if s < 0.0 or f < 0.0 or s + f <= 0.0:
         raise ConfigError("blend weights must be non-negative and not both zero")
     out: dict[ParticipantId, float] = {}
-    for pid in sorted(set(staked) | set(transactional)):
+    for pid in {**staked, **transactional}:
         numerator = 0.0
         denominator = 0.0
         if pid in staked:
@@ -207,7 +209,7 @@ def log_differential(values: dict[ParticipantId, float]) -> dict[ParticipantId, 
     """Sign-preserving log compression: v -> sign(v) * log10(1 + |v|)."""
     return {
         pid: math.copysign(math.log10(1.0 + abs(v)), v)
-        for pid, v in sorted(values.items())
+        for pid, v in values.items()
     }
 
 
@@ -216,13 +218,10 @@ def normalize_window(values: dict[ParticipantId, float]) -> dict[ParticipantId, 
 
     An empty or all-zero map is returned unchanged (as a copy).
     """
-    ordered = dict(sorted(values.items()))
-    if not ordered:
-        return ordered
-    peak = max(abs(v) for v in ordered.values())
+    peak = max((abs(v) for v in values.values()), default=0.0)
     if peak == 0.0:
-        return ordered
-    return {pid: v / peak for pid, v in ordered.items()}
+        return dict(values)
+    return {pid: v / peak for pid, v in values.items()}
 
 
 def update_state(
@@ -239,7 +238,7 @@ def update_state(
     first window the prior span is zero, so the differential is taken
     directly.  Participants without a differential keep their value; new
     participants start from ``cfg.default_reputation``.  Results are
-    clamped to [0, 1] on store.
+    clamped to [0, 1] on store; a NaN is a record error, never clamped.
     """
     if prev.at != window.t_prev:
         raise ValueError(
@@ -256,6 +255,10 @@ def update_state(
         else:
             base = prev.values.get(pid, cfg.default_reputation)
             merged = (w_past * base + w_recent * target) / (w_past + w_recent)
+        if math.isnan(merged):
+            raise RecordError(
+                f"ratee {pid!r}: reputation is not a number in the window ending at t={window.t_now}"
+            )
         new_values[pid] = min(1.0, max(0.0, merged))
     return ReputationState(at=window.t_now, values=new_values)
 

@@ -3,7 +3,9 @@
 Participants are identified by opaque non-empty string tokens.  Identifiers
 may not contain a comma, line feed or carriage return because they are
 embedded verbatim in the canonical snapshot serialization, whose rows end
-at a line feed (see ``liquidrank.store``).
+at a line feed (see ``liquidrank.store``).  They must also encode as UTF-8,
+so a lone surrogate is rejected: snapshots are UTF-8 text, and their row
+order relies on code-point order matching UTF-8 byte order.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ def _check_participant_id(token: str, role: str) -> None:
         raise RecordError(f"{role} id must be a non-empty token")
     if any(ch in token for ch in _FORBIDDEN_ID_CHARS):
         raise RecordError(f"{role} id {token!r} contains a comma or line break")
+    try:
+        token.encode("utf-8")
+    except UnicodeEncodeError:
+        raise RecordError(f"{role} id {token!r} is not valid UTF-8 text") from None
 
 
 class Kind(str, enum.Enum):

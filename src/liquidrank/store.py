@@ -3,13 +3,16 @@
 A snapshot is encoded as a UTF-8 text block: the first line is the state
 timestamp, each following line is ``participant,value`` with participants
 sorted by their UTF-8 bytes and values printed as the shortest decimal
-that round-trips the double.  The encoding is canonical: equal states
-produce identical bytes, and consensus digests are computed over exactly
-these bytes.
+that round-trips the double.  Participant ids are valid Unicode text (see
+``liquidrank.model``), and for such strings code-point order is UTF-8
+byte order, so a plain ``sorted`` gives the byte order.  The encoding is
+canonical: equal states produce identical bytes, and consensus digests
+are computed over exactly these bytes.
 
 Two backends share the same semantics.  ``TransientStore`` keeps encoded
 snapshots in memory; ``LocalFileStore`` writes one file per snapshot into
-a directory, named by the zero-padded timestamp.
+a directory, named by the zero-padded timestamp.  Each store indexes its
+timestamps once, when it opens, and appends each new timestamp on put.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .model import ReputationState
 
 def serialize_state(state: ReputationState) -> bytes:
     lines = [str(state.at)]
-    for pid in sorted(state.values, key=lambda p: p.encode("utf-8")):
+    for pid in sorted(state.values):
         lines.append(f"{pid},{state.values[pid]!r}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -75,8 +78,8 @@ def load_snapshot(path: str | Path) -> ReputationState:
 class _BaseStore:
     """Shared put/get semantics over a backend keyed by timestamp."""
 
-    def _timestamps(self) -> list[int]:
-        raise NotImplementedError
+    def __init__(self, stamps: list[int]) -> None:
+        self._stamps = stamps  # ascending
 
     def _read(self, at: int) -> bytes | None:
         raise NotImplementedError
@@ -92,19 +95,19 @@ class _BaseStore:
         a timestamp older than the newest stored one is an ordering error.
         """
         data = serialize_state(state)
-        existing = self._read(state.at)
-        if existing is not None:
+        if self._stamps and state.at <= self._stamps[-1]:
+            existing = self._read(state.at)
             if existing == data:
                 return
-            raise StoreConflictError(
-                f"snapshot at t={state.at} already exists with different content"
-            )
-        stamps = self._timestamps()
-        if stamps and state.at < stamps[-1]:
+            if existing is not None:
+                raise StoreConflictError(
+                    f"snapshot at t={state.at} already exists with different content"
+                )
             raise StoreOrderingError(
-                f"snapshot at t={state.at} is older than the newest stored t={stamps[-1]}"
+                f"snapshot at t={state.at} is older than the newest stored t={self._stamps[-1]}"
             )
         self._write(state.at, data)
+        self._stamps.append(state.at)
 
     def get(self, at: int) -> ReputationState:
         data = self._read(at)
@@ -113,24 +116,21 @@ class _BaseStore:
         return deserialize_state(data)
 
     def latest(self) -> ReputationState:
-        stamps = self._timestamps()
-        if not stamps:
+        if not self._stamps:
             raise SnapshotNotFoundError("store is empty")
-        return self.get(stamps[-1])
+        return self.get(self._stamps[-1])
 
     def history(self, start: int, end: int) -> list[ReputationState]:
         """All snapshots with start <= t <= end, ascending."""
-        return [self.get(at) for at in self._timestamps() if start <= at <= end]
+        return [self.get(at) for at in self._stamps if start <= at <= end]
 
 
 class TransientStore(_BaseStore):
     """In-memory store; holds the canonical encoding, not live objects."""
 
     def __init__(self) -> None:
+        super().__init__([])
         self._snapshots: dict[int, bytes] = {}
-
-    def _timestamps(self) -> list[int]:
-        return sorted(self._snapshots)
 
     def _read(self, at: int) -> bytes | None:
         return self._snapshots.get(at)
@@ -145,18 +145,16 @@ class LocalFileStore(_BaseStore):
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, at: int) -> Path:
-        return self.root / f"{at:020d}.csv"
-
-    def _timestamps(self) -> list[int]:
         stamps = []
         for path in self.root.glob("*.csv"):
             try:
                 stamps.append(int(path.stem))
             except ValueError:
                 continue
-        return sorted(stamps)
+        super().__init__(sorted(stamps))
+
+    def _path(self, at: int) -> Path:
+        return self.root / f"{at:020d}.csv"
 
     def _read(self, at: int) -> bytes | None:
         path = self._path(at)

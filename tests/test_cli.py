@@ -161,6 +161,17 @@ def test_compute_invalid_record_names_its_line(tmp_path, capsys):
         assert "line 2" in err
 
 
+def test_compute_overflowing_weights_exit_1(tmp_path, capsys):
+    # finite weights whose backing total overflows used to print c,0.0
+    rows = "".join(f"{rater},c,transaction,,,0.5,1.7e308,,1\n" for rater in "abd")
+    log = _write(tmp_path / "ratings.csv", rows + "a,b,transaction,,,0.5,1,,1\n")
+    code, stdout, err = _run(capsys, "compute", "--log", log, "--window", "whole",
+                             "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert stdout == ""
+    assert "'c'" in err and "t=1" in err
+
+
 def test_compute_missing_log_exits_1(tmp_path, capsys):
     code, _, err = _run(capsys, "compute", "--log", str(tmp_path / "nope.csv"),
                         "--window", "whole", "--out", str(tmp_path / "out"))

@@ -442,6 +442,21 @@ def test_summary_shape_and_counts():
         assert row["divergent"] == ["a00"]
         assert row["alerts"][DISPUTED_SET] > 0
 
+    # per-cycle alert counts against a brute-force count over the transcript
+    faulty = {"a00": DIVERGENT, "a01": EQUIVOCATING, "a02": SILENT}
+    network = NetworkModel(delay_min=1, delay_max=3, drop_rate=0.2)
+    result = run_simulation(8, faulty=faulty, cycles=12, cfg=cfg, network=network, seed=5)
+    summary = summarize(result)
+    seen = set()
+    for cycle, row in enumerate(summary["per_cycle"]):
+        expected = {}
+        for ev in result.events:
+            if ev.type == "alert" and ev.cycle == cycle:
+                expected[ev.alert.kind] = expected.get(ev.alert.kind, 0) + 1
+        assert row["alerts"] == expected
+        seen.update(expected)
+    assert seen == {DISPUTED_SET, DIVERGENT_SENDERS, SYSTEM_CHECK}
+
 
 def test_transcript_jsonl_is_parseable(tmp_path):
     cfg = ConsensusConfig(min_identical=3, max_nonidentical=5)

@@ -240,6 +240,9 @@ def test_update_state_clamps_negative_result():
     window = TimeWindow(t_origin=0, t_prev=1, t_now=2)
     new = update_state(_state({"i": 0.9}, at=1), {"i": -1.0}, window, EngineConfig())
     assert new.values["i"] == 0.0
+    # a NaN is an error, never clamped to a number
+    with pytest.raises(RecordError):
+        update_state(_state({"i": 0.9}, at=1), {"i": math.nan}, window, EngineConfig())
 
 
 def test_update_state_first_window_takes_differential():

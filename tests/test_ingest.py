@@ -140,6 +140,8 @@ def test_jsonl_error_line_numbers():
         '{"rater": "a", "ratee": "b", "kind": "stake", "value": true, "timestamp": 0}',
         '{"rater": "a", "ratee": "b", "kind": "stake", "value": 1.0, "timestamp": 1.9}',
         '{"rater": "a", "ratee": "b", "kind": "stake", "value": 1' + "0" * 400 + ', "timestamp": 0}',
+        # a lone surrogate does not encode as UTF-8, so no snapshot could hold it
+        '{"rater":"a","ratee":"\\ud800x","kind":"transaction","value":0.5,"timestamp":1}',
     ):
         with pytest.raises(RecordError) as err:
             parse_log(good + bad + "\n", "jsonl")

@@ -42,6 +42,8 @@ def test_roundtrip_identity():
     rng = random.Random(77)
     # characters str.splitlines() breaks on are legal inside participant ids
     odd_ids = ["b\x0cx", "c\x1ey", "d\x85z", "e\u2028w"]
+    # code-point order is UTF-8 byte order, across every encoded length
+    wide_ids = ["z", "é", "éa", "\uffff", "\U0001f600", "a\U0001f600", "a\uffff"]
     for _ in range(200):
         values = {
             f"p{rng.randint(0, 999)}": rng.random() for _ in range(rng.randint(0, 15))
@@ -53,6 +55,9 @@ def test_roundtrip_identity():
             back = deserialize_state(encoded)
             assert back.at == state.at
             assert back.values == state.values  # full precision
+    data = serialize_state(_state(0, {pid: 0.5 for pid in wide_ids}))
+    rows = data.decode("utf-8").split("\n")[1:-1]
+    assert [row.rpartition(",")[0] for row in rows] == sorted(wide_ids, key=str.encode)
 
 
 def test_shortest_roundtrip_decimal():
@@ -153,6 +158,27 @@ def test_local_store_survives_restart(tmp_path):
     assert serialize_state(got) == before
     assert got.values == state.values
     assert reopened.latest().at == 20
+
+    # the index is built once, on open, from the snapshot names alone
+    reopened.put(_state(30, {"a": 0.5}))
+    (root / "notes.csv").write_text("not a snapshot\n")
+    (root / "x.tmp").write_text("half written\n")
+    third = LocalFileStore(root)
+    assert third.latest().values == {"a": 0.5}
+    assert [s.at for s in third.history(0, 100)] == [20, 30]
+    assert [s.at for s in third.history(21, 30)] == [30]
+    with pytest.raises(StoreOrderingError):
+        third.put(_state(25, {"a": 0.5}))
+    third.put(state)  # identical re-put of an older snapshot
+    third.put(_state(30, {"a": 0.5}))
+    with pytest.raises(StoreConflictError):
+        third.put(_state(20, {"a": 0.25}))
+    with pytest.raises(StoreConflictError):
+        third.put(_state(30, {"a": 0.25}))
+    assert third.latest().at == 30
+    assert sorted(p.name for p in root.iterdir()) == [
+        f"{20:020d}.csv", f"{30:020d}.csv", "notes.csv", "x.tmp",
+    ]
 
 
 def test_load_snapshot_reads_file(tmp_path):
