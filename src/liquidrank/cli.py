@@ -73,8 +73,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             audit.write("\n")
 
     ranking = sorted(final.values.items(), key=lambda kv: (-kv[1], kv[0]))
-    for pid, value in ranking:
-        print(f"{pid},{value!r}")
+    sys.stdout.write("".join(f"{pid},{value!r}\n" for pid, value in ranking))
     return 0
 
 

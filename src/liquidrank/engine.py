@@ -238,14 +238,23 @@ def update_state(
     first window the prior span is zero, so the differential is taken
     directly.  Participants without a differential keep their value; new
     participants start from ``cfg.default_reputation``.  Results are
-    clamped to [0, 1] on store; a NaN is a record error, never clamped.
+    clamped to [0, 1] on store; a NaN is a record error, never clamped, and
+    so is a window whose time weights do not fit in a float.
     """
     if prev.at != window.t_prev:
         raise ValueError(
             f"state is at {prev.at} but window starts at {window.t_prev}"
         )
-    w_past = cfg.decay_past * (window.t_prev - window.t_origin)
-    w_recent = cfg.decay_recent * (window.t_now - window.t_prev)
+    try:
+        w_past = cfg.decay_past * (window.t_prev - window.t_origin)
+        w_recent = cfg.decay_recent * (window.t_now - window.t_prev)
+    except OverflowError:  # a time span too large for a float
+        w_past = w_recent = math.inf
+    if not math.isfinite(w_past + w_recent):
+        raise RecordError(
+            f"window from t={window.t_prev} to t={window.t_now}: "
+            f"its time weights overflow (origin t={window.t_origin})"
+        )
     new_values = dict(prev.values)
     for pid, target in normalized.items():
         if w_past == 0.0:

@@ -89,6 +89,7 @@ def window_mode_from_spec(spec: str) -> WindowMode:
 
 
 _CSV_COLUMNS = 9
+_KINDS = {kind.value: kind for kind in Kind}
 # JSON types each field accepts besides null; a bool is neither int nor float.
 _JSON_FIELDS = {
     "rater": (str,), "ratee": (str,), "kind": (str,), "aspect": (str,),
@@ -109,10 +110,9 @@ def _build_record(
     event: str | None,
     timestamp: str | int,
 ) -> RatingRecord:
-    try:
-        kind_enum = Kind(str(kind).lower())
-    except ValueError:
-        raise RecordError(f"unknown rating kind {kind!r}", line) from None
+    kind_enum = _KINDS.get(str(kind).lower())
+    if kind_enum is None:
+        raise RecordError(f"unknown rating kind {kind!r}", line)
     try:
         value_f = float(value)
     except (TypeError, ValueError, OverflowError):
@@ -130,15 +130,8 @@ def _build_record(
         raise RecordError(f"timestamp {timestamp!r} is not an integer", line) from None
     try:
         return RatingRecord(
-            rater=rater,
-            ratee=ratee,
-            kind=kind_enum,
-            value=value_f,
-            weight=weight_f,
-            aspect=aspect or None,
-            category=category or None,
-            event=event or None,
-            timestamp=ts,
+            rater, ratee, kind_enum, value_f, weight_f,
+            aspect or None, category or None, event or None, ts,
         )
     except RecordError as exc:
         raise RecordError(str(exc), line) from None

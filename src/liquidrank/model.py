@@ -18,18 +18,17 @@ from .errors import RecordError
 
 ParticipantId = str
 
-_FORBIDDEN_ID_CHARS = (",", "\n", "\r")
-
 
 def _check_participant_id(token: str, role: str) -> None:
     if not token:
         raise RecordError(f"{role} id must be a non-empty token")
-    if any(ch in token for ch in _FORBIDDEN_ID_CHARS):
+    if "," in token or "\n" in token or "\r" in token:
         raise RecordError(f"{role} id {token!r} contains a comma or line break")
-    try:
-        token.encode("utf-8")
-    except UnicodeEncodeError:
-        raise RecordError(f"{role} id {token!r} is not valid UTF-8 text") from None
+    if not token.isascii():
+        try:
+            token.encode("utf-8")
+        except UnicodeEncodeError:
+            raise RecordError(f"{role} id {token!r} is not valid UTF-8 text") from None
 
 
 class Kind(str, enum.Enum):
@@ -39,7 +38,7 @@ class Kind(str, enum.Enum):
     TRANSACTION = "transaction"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RatingRecord:
     """One rating event from the input log.
 

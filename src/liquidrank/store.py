@@ -13,6 +13,17 @@ Two backends share the same semantics.  ``TransientStore`` keeps encoded
 snapshots in memory; ``LocalFileStore`` writes one file per snapshot into
 a directory, named by the zero-padded timestamp.  Each store indexes its
 timestamps once, when it opens, and appends each new timestamp on put.
+
+Each store also keeps one :class:`RowCache`, so a put re-renders only the
+rows that changed since the previous one.  The cache holds, per
+participant, the value object it last rendered and that row's text, plus
+the sorted id order.  A row is rendered again only when the state's value
+``is not`` the cached object: the engine copies the prior map on every
+window, so untouched participants keep the very same float, and because
+the cache holds a reference to it, that object cannot be freed and its id
+reused by another value.  New ids are merged into the kept order; a
+removed id rebuilds the cache from scratch.  Without a cache
+``serialize_state`` renders every row, so the bytes never depend on it.
 """
 
 from __future__ import annotations
@@ -26,14 +37,49 @@ from .errors import (
     StoreConflictError,
     StoreOrderingError,
 )
-from .model import ReputationState
+from .model import ParticipantId, ReputationState
 
 
-def serialize_state(state: ReputationState) -> bytes:
-    lines = [str(state.at)]
-    for pid in sorted(state.values):
-        lines.append(f"{pid},{state.values[pid]!r}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+class RowCache:
+    """Snapshot rows last rendered by :func:`serialize_state`, for reuse."""
+
+    __slots__ = ("values", "rows", "order")
+
+    def __init__(self) -> None:
+        self.values: dict[ParticipantId, float] = {}  # the object each row rendered
+        self.rows: dict[ParticipantId, str] = {}  # "pid,value\n"
+        self.order: list[ParticipantId] = []  # sorted ids
+
+    def clear(self) -> None:
+        self.values.clear()
+        self.rows.clear()
+        self.order.clear()
+
+
+def serialize_state(state: ReputationState, cache: RowCache | None = None) -> bytes:
+    """Canonical snapshot bytes of ``state``.
+
+    ``cache`` carries rows over from the previous call made with it; only
+    rows whose value is not the very object rendered then are formatted.
+    """
+    if cache is None:
+        cache = RowCache()
+    values = state.values
+    seen = cache.values
+    stale = [pid for pid, v in values.items() if seen.get(pid) is not v]
+    new = [pid for pid in stale if pid not in seen]
+    if len(seen) + len(new) != len(values):  # some cached id is gone
+        cache.clear()
+        stale = new = list(values)
+    rows = cache.rows
+    for pid in stale:
+        v = values[pid]
+        seen[pid] = v
+        rows[pid] = f"{pid},{v!r}\n"
+    if new:
+        cache.order.extend(new)
+        cache.order.sort()  # the kept ids are one sorted run
+    return (f"{state.at!s}\n" + "".join(map(rows.__getitem__, cache.order))).encode("utf-8")
 
 
 def deserialize_state(data: bytes) -> ReputationState:
@@ -80,6 +126,7 @@ class _BaseStore:
 
     def __init__(self, stamps: list[int]) -> None:
         self._stamps = stamps  # ascending
+        self._rows = RowCache()
 
     def _read(self, at: int) -> bytes | None:
         raise NotImplementedError
@@ -94,7 +141,7 @@ class _BaseStore:
         no-op; a different snapshot at an existing timestamp is a conflict;
         a timestamp older than the newest stored one is an ordering error.
         """
-        data = serialize_state(state)
+        data = serialize_state(state, self._rows)
         if self._stamps and state.at <= self._stamps[-1]:
             existing = self._read(state.at)
             if existing == data:

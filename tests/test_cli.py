@@ -172,6 +172,28 @@ def test_compute_overflowing_weights_exit_1(tmp_path, capsys):
     assert "'c'" in err and "t=1" in err
 
 
+_HUGE = 10**400  # 401 digits: an exact int, but no float holds it
+
+
+@pytest.mark.parametrize("stamps, origin", [
+    ((1, _HUGE, _HUGE + 1), None),  # a window too long for a float
+    ((5, 6, 7), -_HUGE),  # an origin too far back
+], ids=["long-window", "far-origin"])
+def test_compute_overflowing_time_span_exits_1(tmp_path, capsys, stamps, origin):
+    rows = "".join(
+        f"{rater},{ratee},transaction,,,0.5,1,,{t}\n"
+        for (rater, ratee), t in zip(("ab", "bc", "ca"), stamps)
+    )
+    log = _write(tmp_path / "ratings.csv", rows)
+    argv = ["compute", "--log", log, "--window", "tx", "--out", str(tmp_path / "out")]
+    if origin is not None:
+        argv += ["--origin", str(origin)]
+    code, stdout, err = _run(capsys, *argv)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: window from t=")
+
+
 def test_compute_missing_log_exits_1(tmp_path, capsys):
     code, _, err = _run(capsys, "compute", "--log", str(tmp_path / "nope.csv"),
                         "--window", "whole", "--out", str(tmp_path / "out"))

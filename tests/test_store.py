@@ -208,3 +208,52 @@ def test_backend_equivalence_random_sequences(tmp_path):
         assert transient.latest().values == local.latest().values
         for at in stamps:
             assert serialize_state(transient.get(at)) == serialize_state(local.get(at))
+
+
+def test_row_cache_matches_fresh_encoding(tmp_path):
+    """A put re-renders only changed rows; the stored bytes must not show it."""
+    ids = [f"p{i}" for i in range(10)] + ["é", "\U0001f600x", "z\uffff", "b\u2028"]
+    for backend in ("transient", "local"):
+        rng = random.Random(2024)
+        root = tmp_path / backend
+        store = TransientStore() if backend == "transient" else LocalFileStore(root)
+        values: dict[str, float] = {}
+        stored: dict[int, bytes] = {}
+        at = 0
+        for _ in range(400):
+            if stored and rng.random() < 0.1:
+                # a rejected put, with an id added or dropped, then a good put
+                bad = dict(values)
+                if bad and rng.random() < 0.5:
+                    del bad[rng.choice(sorted(bad))]
+                else:
+                    bad["intruder"] = rng.random()
+                if rng.random() < 0.5:
+                    with pytest.raises(StoreConflictError):
+                        store.put(_state(at, bad))
+                else:
+                    with pytest.raises(StoreOrderingError):
+                        store.put(_state(at - 1, bad))
+            if backend == "local" and rng.random() < 0.05:
+                store = LocalFileStore(root)
+            values = dict(values)  # as the engine does: untouched values keep their objects
+            for pid in rng.sample(ids, rng.randint(0, 3)):
+                values[pid] = rng.choice([rng.random(), 0.0, -0.0, 1.0])
+            if values and rng.random() < 0.15:
+                del values[rng.choice(sorted(values))]
+            if values and rng.random() < 0.3:
+                pid = rng.choice(sorted(values))
+                fresh = float(repr(values[pid]))  # equal value, new object
+                assert fresh is not values[pid]
+                values[pid] = fresh
+            zeros = sorted(pid for pid, v in values.items() if v == 0.0)
+            if zeros and rng.random() < 0.5:
+                pid = rng.choice(zeros)
+                values[pid] = -values[pid]  # 0.0 <-> -0.0: equal, but the reprs differ
+            at += 2
+            state = _state(at, values)
+            store.put(state)
+            stored[at] = serialize_state(state)
+            assert store._read(at) == stored[at]
+        for stamp, data in stored.items():
+            assert store._read(stamp) == data
