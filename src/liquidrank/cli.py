@@ -31,6 +31,7 @@ from .errors import (
     ConfigError,
     CorrelationUndefinedError,
     LiquidRankError,
+    RecordError,
 )
 from .evaluate import distribution_stats, load_reference_list, pearson
 from .ingest import load_log, window_mode_from_spec
@@ -167,6 +168,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     state = load_snapshot(args.snapshot)
+    if not state.values:
+        raise RecordError(f"snapshot {args.snapshot} holds no participants")
     stats = distribution_stats(state)
     print(f"participants {len(state.values)}")
     print(f"gini {stats.gini:.6f}")

@@ -109,7 +109,9 @@ class ConsensusConfig:
 def parse_key_values(text: str) -> dict[str, str]:
     """Split flat config text into a key -> raw string map."""
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" only, as in logs and snapshots: a key may hold any
+    # other character str.splitlines() breaks on.
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -80,7 +80,6 @@ def _weighted_means(
     cfg: EngineConfig,
     group_key: Callable[[RatingRecord], GroupKey],
     *,
-    skip_zero_values: bool = False,
     aspect_weighted: bool = True,
 ) -> dict[GroupKey, float]:
     """Weighted-mean differentials per group.
@@ -95,8 +94,6 @@ def _weighted_means(
     """
     groups: dict[GroupKey, list[int]] = {}
     for idx, rec in enumerate(records):
-        if skip_zero_values and rec.value == 0.0:
-            continue
         groups.setdefault(group_key(rec), []).append(idx)
 
     out: dict[GroupKey, float] = {}
@@ -146,12 +143,9 @@ def differential_staked(
     whose ratings carry no backing at all are omitted from the result.
     """
     _require_kind(records, Kind.STAKE)
-    weights = [rec.weight for rec in records]
-    return _weighted_means(
-        records, weights, prev, cfg,
-        lambda rec: rec.ratee,
-        skip_zero_values=True,
-    )
+    live = [rec for rec in records if rec.value != 0.0]
+    weights = [rec.weight for rec in live]
+    return _weighted_means(live, weights, prev, cfg, lambda rec: rec.ratee)
 
 
 def _transaction_weights(records: list[RatingRecord], cfg: EngineConfig) -> list[float]:
@@ -345,16 +339,16 @@ def run_windows(
     mode,
     t_origin: int,
     cfg: EngineConfig,
-    initial: ReputationState | None = None,
 ) -> Iterator[tuple[TimeWindow, ReputationState, DifferentialReputation]]:
     """Partition a log and fold every window through the pipeline.
 
-    ``cfg`` is validated here, once for the whole run.
+    The fold starts from an empty state at ``t_origin``.  ``cfg`` is
+    validated here, once for the whole run.
     """
     from .ingest import partition
 
     cfg.validate()
-    state = initial if initial is not None else ReputationState(at=t_origin, values={})
+    state = ReputationState(at=t_origin, values={})
     for window, chunk in partition(records, mode, t_origin):
         state, diff = run_pipeline(chunk, window, state, cfg)
         yield window, state, diff

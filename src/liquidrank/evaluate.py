@@ -2,7 +2,9 @@
 
 The reference-list methodology labels known-good participants 1.0 and
 known-bad ones 0.0, then scores a computed state by the Pearson
-correlation between labels and reputations.  Distribution statistics
+correlation between labels and reputations.  A reference list is a
+``participant,label`` CSV; its ids obey the same rule as every other id
+(``model.check_participant_id``).  Distribution statistics
 (Gini coefficient, top-1% share, nonzero fraction) quantify how
 concentrated the computed reputations are.
 """
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import CorrelationUndefinedError, RecordError
-from .model import ParticipantId, ReputationState
+from .model import ParticipantId, ReputationState, check_participant_id
 
 
 def pearson(
@@ -92,6 +94,7 @@ def load_reference_list(path: str | Path) -> dict[ParticipantId, float]:
 
 
 def parse_reference_list(text: str) -> dict[ParticipantId, float]:
+    """Labels by participant; a bad row is a record error naming its line."""
     labels: dict[ParticipantId, float] = {}
     reader = csv.reader(io.StringIO(text))
     for row in reader:
@@ -101,8 +104,7 @@ def parse_reference_list(text: str) -> dict[ParticipantId, float]:
         if len(row) != 2:
             raise RecordError(f"expected 'participant,label', got {row!r}", line)
         pid, raw = row
-        if not pid:
-            raise RecordError("empty participant id", line)
+        check_participant_id(pid, "participant", line)
         if pid in labels:
             raise RecordError(f"duplicate participant {pid!r}", line)
         try:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Union
@@ -222,65 +223,50 @@ def partition(
 ) -> list[tuple[TimeWindow, list[RatingRecord]]]:
     """Split a log into consecutive windows according to ``mode``.
 
+    One loop cuts every mode.  ``whole``, ``tx`` and ``block:N`` are count
+    cuts of all records, 1 record and N records, each grown over the ties
+    at its last timestamp, where it ends.  ``period:N`` is a time cut of N
+    ticks, empty windows included; a span from the origin to the last
+    record that does not fit in a float is a record error.
+
     Every record lands in exactly one window and windows chain: each
     window's t_prev is the previous window's t_now, starting at
-    ``t_origin``.  Records with timestamps before ``t_origin`` are
-    rejected.  An empty log yields no windows.
+    ``t_origin``.  Records before ``t_origin`` are rejected.  An empty log
+    yields no windows.
     """
     ordered = sorted(records, key=lambda rec: rec.timestamp)
-    if ordered and ordered[0].timestamp < t_origin:
-        raise RecordError(
-            f"record at t={ordered[0].timestamp} predates the origin t={t_origin}"
-        )
     if not ordered:
         return []
-    last_ts = ordered[-1].timestamp
-
-    if isinstance(mode, WholeHistory):
-        return [(TimeWindow(t_origin, t_origin, last_ts), ordered)]
-
-    if isinstance(mode, PerTransaction):
-        out: list[tuple[TimeWindow, list[RatingRecord]]] = []
-        t_prev = t_origin
-        chunk: list[RatingRecord] = []
-        for rec in ordered:
-            if chunk and rec.timestamp != chunk[-1].timestamp:
-                out.append((TimeWindow(t_origin, t_prev, chunk[-1].timestamp), chunk))
-                t_prev = chunk[-1].timestamp
-                chunk = []
-            chunk.append(rec)
-        out.append((TimeWindow(t_origin, t_prev, chunk[-1].timestamp), chunk))
-        return out
-
+    stamps = [rec.timestamp for rec in ordered]
+    if stamps[0] < t_origin:
+        raise RecordError(f"record at t={stamps[0]} predates the origin t={t_origin}")
+    length = count = 0
     if isinstance(mode, Periodic):
         length = mode.length
-        n_windows = (last_ts - t_origin) // length + 1
-        slices: list[list[RatingRecord]] = [[] for _ in range(n_windows)]
-        for rec in ordered:
-            slices[(rec.timestamp - t_origin) // length].append(rec)
-        return [
-            (
-                TimeWindow(t_origin, t_origin + i * length, t_origin + (i + 1) * length),
-                chunk,
-            )
-            for i, chunk in enumerate(slices)
-        ]
+        try:
+            float(stamps[-1] - t_origin)
+        except OverflowError:
+            raise RecordError(
+                f"window from t={t_origin} to t={stamps[-1]}: its span does not fit in a float"
+            ) from None
+    elif isinstance(mode, PerBlock):
+        count = mode.size
+    elif isinstance(mode, PerTransaction):
+        count = 1
+    elif isinstance(mode, WholeHistory):
+        count = len(ordered)
+    else:
+        raise ConfigError(f"unknown window mode {mode!r}")
 
-    if isinstance(mode, PerBlock):
-        out = []
-        t_prev = t_origin
-        start = 0
-        while start < len(ordered):
-            end = min(start + mode.size, len(ordered))
-            # records sharing a timestamp stay in one block, else two
-            # snapshots would land on the same instant
-            while end < len(ordered) and ordered[end].timestamp == ordered[end - 1].timestamp:
-                end += 1
-            chunk = ordered[start:end]
-            t_now = chunk[-1].timestamp
-            out.append((TimeWindow(t_origin, t_prev, t_now), chunk))
-            t_prev = t_now
-            start = end
-        return out
-
-    raise ConfigError(f"unknown window mode {mode!r}")
+    out = []
+    t_prev, start = t_origin, 0
+    while start < len(ordered):
+        if length:
+            t_now = t_prev + length
+            end = bisect_left(stamps, t_now, start)
+        else:
+            t_now = stamps[min(start + count, len(ordered)) - 1]
+            end = bisect_right(stamps, t_now, start)
+        out.append((TimeWindow(t_origin, t_prev, t_now), ordered[start:end]))
+        t_prev, start = t_now, end
+    return out

@@ -6,6 +6,8 @@ embedded verbatim in the canonical snapshot serialization, whose rows end
 at a line feed (see ``liquidrank.store``).  They must also encode as UTF-8,
 so a lone surrogate is rejected: snapshots are UTF-8 text, and their row
 order relies on code-point order matching UTF-8 byte order.
+:func:`check_participant_id` is that rule; rating records, snapshot rows
+and reference lists all go through it.
 """
 
 from __future__ import annotations
@@ -19,16 +21,17 @@ from .errors import RecordError
 ParticipantId = str
 
 
-def _check_participant_id(token: str, role: str) -> None:
+def check_participant_id(token: str, role: str, line: int | None = None) -> None:
+    """Reject an id that breaks the rule above; ``line`` is its input line."""
     if not token:
-        raise RecordError(f"{role} id must be a non-empty token")
+        raise RecordError(f"{role} id must be a non-empty token", line)
     if "," in token or "\n" in token or "\r" in token:
-        raise RecordError(f"{role} id {token!r} contains a comma or line break")
+        raise RecordError(f"{role} id {token!r} contains a comma or line break", line)
     if not token.isascii():
         try:
             token.encode("utf-8")
         except UnicodeEncodeError:
-            raise RecordError(f"{role} id {token!r} is not valid UTF-8 text") from None
+            raise RecordError(f"{role} id {token!r} is not valid UTF-8 text", line) from None
 
 
 class Kind(str, enum.Enum):
@@ -59,8 +62,8 @@ class RatingRecord:
     timestamp: int = 0
 
     def __post_init__(self) -> None:
-        _check_participant_id(self.rater, "rater")
-        _check_participant_id(self.ratee, "ratee")
+        check_participant_id(self.rater, "rater")
+        check_participant_id(self.ratee, "ratee")
         if self.rater == self.ratee:
             raise RecordError(f"self-rating by {self.rater!r} is not allowed")
         if not isinstance(self.kind, Kind):

@@ -29,6 +29,7 @@ removed id rebuilds the cache from scratch.  Without a cache
 from __future__ import annotations
 
 import hashlib
+import os
 from pathlib import Path
 
 from .errors import (
@@ -37,7 +38,7 @@ from .errors import (
     StoreConflictError,
     StoreOrderingError,
 )
-from .model import ParticipantId, ReputationState
+from .model import ParticipantId, ReputationState, check_participant_id
 
 
 class RowCache:
@@ -83,7 +84,11 @@ def serialize_state(state: ReputationState, cache: RowCache | None = None) -> by
 
 
 def deserialize_state(data: bytes) -> ReputationState:
-    """Inverse of :func:`serialize_state`; validates the value range."""
+    """Inverse of :func:`serialize_state`.
+
+    Each id must pass ``model.check_participant_id`` and each value lie in
+    [0, 1]; a bad row is a record error naming its line.
+    """
     # Rows end at "\n" only: ids may hold other characters splitlines() breaks
     # on.  A CRLF row still parses because int() and float() strip the "\r".
     lines = data.decode("utf-8").split("\n")
@@ -98,8 +103,9 @@ def deserialize_state(data: bytes) -> ReputationState:
     values: dict[str, float] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         pid, sep, raw = line.partition(",")
-        if not sep or not pid:
+        if not sep:
             raise RecordError(f"malformed snapshot row {line!r}", lineno)
+        check_participant_id(pid, "participant", lineno)
         if pid in values:
             raise RecordError(f"duplicate participant {pid!r}", lineno)
         try:
@@ -210,6 +216,7 @@ class LocalFileStore(_BaseStore):
         return path.read_bytes()
 
     def _write(self, at: int, data: bytes) -> None:
-        tmp = self._path(at).with_suffix(".tmp")
+        path = self._path(at)
+        tmp = path.with_suffix(".tmp")
         tmp.write_bytes(data)
-        tmp.replace(self._path(at))
+        os.replace(tmp, path)

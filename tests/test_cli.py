@@ -111,7 +111,8 @@ def test_compute_ranking_sorted_by_value_then_id(tmp_path, capsys):
 def test_compute_engine_config_enables_log_audit(tmp_path, capsys):
     log = _write(tmp_path / "ratings.csv", _LOG_3)
     cfg = _write(tmp_path / "engine.cfg",
-                 "# audit on a log scale\nuse_log_differential = true\n")
+                 "# audit on a log scale\nuse_log_differential = true\n"
+                 "aspect_weight.a\x0cb = 2\n")  # a form feed ends no line
     out = tmp_path / "out"
     code, _, _ = _run(capsys, "compute", "--log", log, "--window", "whole",
                       "--out", str(out), "--config", cfg)
@@ -175,17 +176,19 @@ def test_compute_overflowing_weights_exit_1(tmp_path, capsys):
 _HUGE = 10**400  # 401 digits: an exact int, but no float holds it
 
 
-@pytest.mark.parametrize("stamps, origin", [
-    ((1, _HUGE, _HUGE + 1), None),  # a window too long for a float
-    ((5, 6, 7), -_HUGE),  # an origin too far back
-], ids=["long-window", "far-origin"])
-def test_compute_overflowing_time_span_exits_1(tmp_path, capsys, stamps, origin):
+@pytest.mark.parametrize("stamps, origin, window", [
+    ((1, _HUGE, _HUGE + 1), None, "tx"),  # a window too long for a float
+    ((5, 6, 7), -_HUGE, "tx"),  # an origin too far back
+    # too many periods to count: rejected before any window is built
+    ((5, 6, 7), -_HUGE, "period:10"),
+], ids=["long-window", "far-origin", "far-origin-period"])
+def test_compute_overflowing_time_span_exits_1(tmp_path, capsys, stamps, origin, window):
     rows = "".join(
         f"{rater},{ratee},transaction,,,0.5,1,,{t}\n"
         for (rater, ratee), t in zip(("ab", "bc", "ca"), stamps)
     )
     log = _write(tmp_path / "ratings.csv", rows)
-    argv = ["compute", "--log", log, "--window", "tx", "--out", str(tmp_path / "out")]
+    argv = ["compute", "--log", log, "--window", window, "--out", str(tmp_path / "out")]
     if origin is not None:
         argv += ["--origin", str(origin)]
     code, stdout, err = _run(capsys, *argv)
@@ -276,6 +279,21 @@ def test_stats_reports_distribution_lines(tmp_path, capsys):
     assert got["gini"] == f"{stats.gini:.6f}"
     assert got["top_share"] == f"{stats.top_share:.6f}"
     assert got["nonzero_fraction"] == "0.750000"
+
+
+def test_stats_on_snapshot_without_participants_exits_1(tmp_path, capsys):
+    # a lone revoked stake leaves the whole-history state empty
+    log = _write(tmp_path / "ratings.csv", "a,b,stake,,,0,1,,5\n")
+    out = tmp_path / "out"
+    code, _, _ = _run(capsys, "compute", "--log", log, "--window", "whole",
+                      "--out", str(out))
+    assert code == 0
+    snap = out / "snapshots" / f"{5:020d}.csv"
+    assert snap.read_text() == "5\n"
+    code, stdout, err = _run(capsys, "stats", "--snapshot", str(snap))
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error:")
 
 
 def test_export_two_nodes_one_edge(tmp_path, capsys):

@@ -186,6 +186,8 @@ def test_reference_rejects_duplicates_and_shape():
         parse_reference_list(",1.0\n")
     with pytest.raises(RecordError):
         parse_reference_list("a,yes\n")
+    with pytest.raises(RecordError, match="line 2"):
+        parse_reference_list('a,1\n"a,b",1\n')  # an id no record may carry
 
 
 def test_load_reference_list_from_file(tmp_path):

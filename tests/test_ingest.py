@@ -307,3 +307,46 @@ def test_periodic_with_length_beyond_span_equals_whole_history():
         periodic = partition(records, Periodic(span + 1), 0)
         assert len(periodic) == 1
         assert periodic[0][1] == whole[0][1]
+
+
+def _brute_partition(records, mode, t_origin):
+    """Windows as (t_origin, t_prev, t_now, chunk), cut one record at a time."""
+    ordered = sorted(records, key=lambda rec: rec.timestamp)
+    if isinstance(mode, Periodic):
+        n = (ordered[-1].timestamp - t_origin) // mode.length + 1
+        bounds = [t_origin + i * mode.length for i in range(n + 1)]
+        return [
+            (t_origin, lo, hi, [rec for rec in ordered if lo <= rec.timestamp < hi])
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+    size = {WholeHistory: len(ordered), PerTransaction: 1}.get(type(mode)) or mode.size
+    out, chunk, t_prev = [], [], t_origin
+    for i, rec in enumerate(ordered):
+        chunk.append(rec)
+        last = i + 1 == len(ordered)
+        if last or (len(chunk) >= size and ordered[i + 1].timestamp != rec.timestamp):
+            out.append((t_origin, t_prev, rec.timestamp, chunk))
+            t_prev, chunk = rec.timestamp, []
+    return out
+
+
+def _flat(windows):
+    return [(w.t_origin, w.t_prev, w.t_now, chunk) for w, chunk in windows]
+
+
+def test_partition_matches_brute_force_all_modes():
+    rng = random.Random(2018)
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        t_origin = rng.randint(-5, 5)
+        # distinct raters keep equal-looking records apart in the comparison
+        records = [_rec(f"p{i}", "q", rng.randint(5, 5 + rng.randint(0, 60))) for i in range(n)]
+        modes = [WholeHistory(), PerTransaction(), Periodic(rng.randint(1, 25)),
+                 PerBlock(rng.randint(1, 10))]
+        for mode in modes:
+            got = _flat(partition(records, mode, t_origin))
+            assert got == _brute_partition(records, mode, t_origin), mode
+        assert _flat(partition(records, PerTransaction(), t_origin)) == _flat(
+            partition(records, PerBlock(1), t_origin))
+        assert _flat(partition(records, WholeHistory(), t_origin)) == _flat(
+            partition(records, PerBlock(n), t_origin))

@@ -76,6 +76,8 @@ def test_deserialize_rejects_garbage():
         deserialize_state(b"5\na,2.0\n")  # out of range
     with pytest.raises(RecordError):
         deserialize_state(b"5\na,0.5\na,0.6\n")  # duplicate
+    with pytest.raises(RecordError, match="line 2"):
+        deserialize_state(b"5\na\rb,0.5\n")  # an id no record may carry
 
 
 def test_digest_matches_for_equal_states_only():
