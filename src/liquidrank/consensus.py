@@ -18,10 +18,13 @@ same inputs and seed, same transcript bytes.
 from __future__ import annotations
 
 import enum
+import heapq
 import json
 import random
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 from .config import ConsensusConfig
 from .errors import ConfigError
@@ -48,8 +51,7 @@ class Outcome(str, enum.Enum):
     BROKEN = "broken"
 
 
-@dataclass(frozen=True)
-class StateDigest:
+class StateDigest(NamedTuple):
     """One agency's claim about the canonical state for a cycle."""
 
     cycle: int
@@ -207,15 +209,21 @@ class AgencyNode:
             divergent=divergent, alerts=(alert,),
         )
 
+    @property
+    def deadline(self) -> int | None:
+        """Tick at which ``tick`` breaks the cycle, or None if it never will."""
+        if self.decision is not None or self._first_receipt is None:
+            return None
+        return self._first_receipt + self.cfg.timeout
+
     def tick(self, now: int) -> tuple[AgencyDecision | None, list[Alert]]:
         """Check the cycle timeout; may declare the cycle broken.
 
         The clock runs from the first receipt of the cycle; a node that
         never received anything never times out.
         """
-        if self.decision is not None or self._first_receipt is None:
-            return None, []
-        if now - self._first_receipt >= self.cfg.timeout:
+        deadline = self.deadline
+        if deadline is not None and now >= deadline:
             alert = Alert(
                 kind=SYSTEM_CHECK,
                 cycle=self.cycle,
@@ -243,8 +251,7 @@ class AgencyNode:
 # --- simulation -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TranscriptEvent:
+class TranscriptEvent(NamedTuple):
     tick: int
     type: str
     cycle: int
@@ -351,10 +358,16 @@ def run_simulation(
     nothing, divergent ones broadcast a digest of a forked state, and
     equivocating ones send a different forked digest to every peer.
     Delivery order is deterministic: events are processed by (tick,
-    sender, message id), and all randomness comes from ``seed``.
+    sender, message id), and all randomness comes from ``seed``.  Only
+    ticks that hold a delivery or a node's timeout deadline are visited,
+    so the cost follows the messages, not the width of the delay range.
     """
     if n_agencies < 1:
         raise ConfigError("need at least one agency")
+    if cycles < 0:
+        raise ConfigError("cycles must be non-negative")
+    if reward_slots < 0:
+        raise ConfigError("reward_slots must be non-negative")
     cfg = cfg if cfg is not None else ConsensusConfig()
     cfg.validate()
     network = network if network is not None else NetworkModel()
@@ -367,8 +380,13 @@ def run_simulation(
             raise ConfigError(f"unknown fault kind {kind!r}")
 
     rng = random.Random(seed)
+    # randint(a, b) is randrange(a, b + 1): the same draws, one call less.
+    randrange, draw = rng.randrange, rng.random
+    delay_lo, delay_hi = network.delay_min, network.delay_max + 1
+    drop_rate = network.drop_rate
     nodes = {aid: AgencyNode(aid, cfg, cycle=0) for aid in ids}
     events: list[TranscriptEvent] = []
+    log = events.append
     decisions: dict[AgencyId, list[AgencyDecision | None]] = {aid: [] for aid in ids}
     rewards: list[list[AgencyId]] = []
     period = cfg.timeout + network.delay_max + 2
@@ -376,17 +394,16 @@ def run_simulation(
 
     def log_node_output(now, aid, decision, alerts):
         for alert in alerts:
-            events.append(TranscriptEvent(
-                tick=now, type="alert", cycle=alert.cycle, sender=aid, alert=alert,
-            ))
+            log(TranscriptEvent(now, "alert", alert.cycle, aid, alert=alert))
         if decision is not None:
-            events.append(TranscriptEvent(
-                tick=now, type="decision", cycle=decision.cycle,
-                sender=aid, digest=decision.digest, decision=decision,
+            log(TranscriptEvent(
+                now, "decision", decision.cycle, aid,
+                digest=decision.digest, decision=decision,
             ))
 
     for cycle in range(cycles):
         t0 = cycle * period
+        end = t0 + period
         base_digest = state_digest(_cycle_base_state(cycle))
         cycle_events_start = len(events)
         deliveries: dict[int, list[tuple[AgencyId, int, AgencyId, StateDigest]]] = {}
@@ -401,45 +418,47 @@ def run_simulation(
                 own_digest = _perturbed_digest(cycle, f"{sender}->{sender}")
             else:
                 own_digest = base_digest
+            own_msg = StateDigest(cycle, own_digest, sender)
             if fault != EQUIVOCATING:
-                events.append(TranscriptEvent(
-                    tick=t0, type="send", cycle=cycle, sender=sender, digest=own_digest,
-                ))
+                log(TranscriptEvent(t0, "send", cycle, sender, digest=own_digest))
 
             # A sender's own digest counts as a receipt at send time.
             msg_counter += 1
-            deliveries.setdefault(t0, []).append(
-                (sender, msg_counter, sender, StateDigest(cycle, own_digest, sender)),
-            )
+            deliveries.setdefault(t0, []).append((sender, msg_counter, sender, own_msg))
             for receiver in ids:
                 if receiver == sender:
                     continue
-                digest = own_digest
+                msg = own_msg
                 if fault == EQUIVOCATING:
                     digest = _perturbed_digest(cycle, f"{sender}->{receiver}")
-                    events.append(TranscriptEvent(
-                        tick=t0, type="send", cycle=cycle,
-                        sender=sender, receiver=receiver, digest=digest,
-                    ))
-                delay = rng.randint(network.delay_min, network.delay_max)
-                if rng.random() < network.drop_rate:
+                    msg = StateDigest(cycle, digest, sender)
+                    log(TranscriptEvent(t0, "send", cycle, sender, receiver, digest))
+                at = t0 + randrange(delay_lo, delay_hi)
+                if draw() < drop_rate:
                     continue
                 msg_counter += 1
-                deliveries.setdefault(t0 + delay, []).append(
-                    (sender, msg_counter, receiver, StateDigest(cycle, digest, sender)),
-                )
+                deliveries.setdefault(at, []).append((sender, msg_counter, receiver, msg))
 
-        for now in range(t0, t0 + period):
-            for sender, _msg_id, receiver, msg in sorted(deliveries.pop(now, [])):
-                events.append(TranscriptEvent(
-                    tick=now, type="receive", cycle=cycle,
-                    sender=sender, receiver=receiver, digest=msg.digest,
-                ))
+        # Nothing happens at a tick without a delivery or a deadline, so
+        # only those are visited: deliveries first, then tick() in id order.
+        agenda = set(deliveries)
+        agenda.update(node.deadline for node in nodes.values())
+        agenda.discard(None)
+        pending = sorted(agenda)
+        while pending and pending[0] < end:
+            now = heapq.heappop(pending)
+            for sender, _msg_id, receiver, msg in sorted(deliveries.pop(now, ())):
+                log(TranscriptEvent(now, "receive", cycle, sender, receiver, msg.digest))
                 decision, alerts = nodes[receiver].receive(msg, now)
                 log_node_output(now, receiver, decision, alerts)
             for aid in ids:
-                decision, alerts = nodes[aid].tick(now)
+                node = nodes[aid]
+                decision, alerts = node.tick(now)
                 log_node_output(now, aid, decision, alerts)
+                deadline = node.deadline
+                if deadline is not None and deadline not in agenda:
+                    agenda.add(deadline)
+                    heapq.heappush(pending, deadline)
 
         cycle_events = events[cycle_events_start:]
         accepted: dict[str, int] = {}
@@ -457,7 +476,7 @@ def run_simulation(
 
         if cycle + 1 < cycles:
             for aid in ids:
-                nodes[aid].advance_cycle(cycle + 1, now=t0 + period)
+                nodes[aid].advance_cycle(cycle + 1, now=end)
 
     return SimulationResult(
         agency_ids=ids, cycles=cycles, events=events,
@@ -498,9 +517,35 @@ def summarize(result: SimulationResult) -> dict:
     }
 
 
+_encode_nested = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def transcript_line(ev: TranscriptEvent) -> str:
+    """``ev.to_json()`` as compact JSON with sorted keys and ASCII escapes.
+
+    Byte for byte ``json.dumps(ev.to_json(), sort_keys=True,
+    separators=(",", ":")) + "\\n"``, written key by key: the top-level
+    keys in sorted order, strings quoted by the encoder's own
+    ``encode_basestring_ascii`` and the nested decision and alert objects
+    through one shared encoder.
+    """
+    tick, type_, cycle, sender, receiver, digest, decision, alert = ev
+    line = "{"
+    if alert is not None:
+        line += '"alert":' + _encode_nested(alert.to_json()) + ","
+    line += f'"cycle":{cycle}'
+    if decision is not None:
+        line += ',"decision":' + _encode_nested(decision.to_json())
+    if digest is not None:
+        line += ',"digest":' + encode_basestring_ascii(digest)
+    if receiver is not None:
+        line += ',"receiver":' + encode_basestring_ascii(receiver)
+    if sender is not None:
+        line += ',"sender":' + encode_basestring_ascii(sender)
+    return line + f',"tick":{tick},"type":{encode_basestring_ascii(type_)}}}\n'
+
+
 def export_transcript(events: list[TranscriptEvent], path: str | Path) -> None:
-    """Write one JSON object per event, in transcript order."""
+    """Write one ``transcript_line`` per event, in transcript order."""
     with open(path, "w", encoding="utf-8") as fh:
-        for ev in events:
-            fh.write(json.dumps(ev.to_json(), sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+        fh.writelines(map(transcript_line, events))

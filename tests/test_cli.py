@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -455,6 +456,40 @@ def test_simulate_fault_spec_without_count_means_one(tmp_path, capsys):
     # one silent agency out of five cannot block the default quorum of 2
     for row in summary["per_cycle"]:
         assert row["outcomes"]["accepted"] >= 4
+
+
+@pytest.mark.parametrize("flag", ["--cycles", "--reward-slots"])
+def test_simulate_negative_count_exits_2(tmp_path, capsys, flag):
+    out = tmp_path / "sim"
+    code, stdout, err = _run(capsys, "simulate", "--agencies", "4", flag, "-1",
+                             "--out", str(out))
+    assert code == 2
+    assert err.startswith("error:") and "non-negative" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_simulate_huge_delay_range_finishes(tmp_path):
+    # The loop visits only ticks with a delivery or a timeout deadline, so
+    # a delay range of 10^12 ticks costs what a range of 3 does.
+    src = Path(liquidrank.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = tmp_path / "sim"
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "liquidrank.cli", "simulate", "--agencies", "4",
+         "--cycles", "3", "--delay-max", "1000000000000", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 10.0
+    # Every node times out long before a peer's digest can arrive.
+    assert proc.stdout.splitlines()[1:] == [f"{c} 0 0 4 0 4 -" for c in range(3)]
+    receives = [json.loads(line) for line in (out / "transcript.jsonl").read_text().splitlines()
+                if '"type":"receive"' in line]
+    assert len(receives) == 3 * 4 * 4
+    assert max(ev["tick"] for ev in receives) > 10**9
 
 
 # -- argument handling -------------------------------------------------------
