@@ -66,7 +66,6 @@ from .model import (
 )
 from .store import (
     LocalFileStore,
-    TransientStore,
     deserialize_state,
     load_snapshot,
     serialize_state,
@@ -104,7 +103,6 @@ __all__ = [
     "StoreError",
     "StoreOrderingError",
     "TimeWindow",
-    "TransientStore",
     "WholeHistory",
     "blend",
     "deserialize_state",

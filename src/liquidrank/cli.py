@@ -23,6 +23,7 @@ from . import consensus
 from .config import (
     ConsensusConfig,
     EngineConfig,
+    check_reputation,
     load_consensus_config,
     load_engine_config,
 )
@@ -155,6 +156,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    check_reputation("--default-reputation", args.default_reputation)
     state = load_snapshot(args.snapshot)
     reference = load_reference_list(args.reference)
     r = pearson(
@@ -183,6 +185,7 @@ def _dot_quote(token: str) -> str:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    check_reputation("--default-reputation", args.default_reputation)
     state = load_snapshot(args.snapshot)
     records = load_log(args.log)
     participants = set(state.values)

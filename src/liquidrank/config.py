@@ -14,6 +14,13 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .model import decode_input
+
+
+def check_reputation(name: str, value: float) -> None:
+    """Reject a reputation that is not a finite number in [0, 1]."""
+    if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
+        raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 @dataclass
@@ -40,10 +47,7 @@ class EngineConfig:
     rater_weight_floor: float = 0.0
 
     def validate(self) -> None:
-        if not 0.0 <= self.default_reputation <= 1.0:
-            raise ConfigError(
-                f"default_reputation must lie in [0, 1], got {self.default_reputation}"
-            )
+        check_reputation("default_reputation", self.default_reputation)
         for name in ("blend_stake", "blend_transaction", "decay_recent",
                      "decay_past", "rater_weight_floor", "default_aspect_weight"):
             v = getattr(self, name)
@@ -102,8 +106,7 @@ class ConsensusConfig:
         if self.timeout < 1:
             raise ConfigError("timeout must be at least 1 tick")
         for agency, rep in self.agency_reputations.items():
-            if not (isinstance(rep, (int, float)) and math.isfinite(rep) and 0.0 <= rep <= 1.0):
-                raise ConfigError(f"agency reputation for {agency!r} must lie in [0, 1]")
+            check_reputation(f"agency reputation for {agency!r}", rep)
 
 
 def parse_key_values(text: str) -> dict[str, str]:
@@ -116,14 +119,14 @@ def parse_key_values(text: str) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"expected 'key = value', got {raw!r}", lineno)
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if not key:
-            raise ConfigError(f"line {lineno}: empty key")
+            raise ConfigError("empty key", lineno)
         if key in out:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            raise ConfigError(f"duplicate key {key!r}", lineno)
         out[key] = value
     return out
 
@@ -178,12 +181,12 @@ def engine_config_from_text(text: str) -> EngineConfig:
 
 
 def load_engine_config(path: str | Path) -> EngineConfig:
-    return engine_config_from_text(Path(path).read_text(encoding="utf-8"))
+    return engine_config_from_text(decode_input(Path(path).read_bytes(), ConfigError))
 
 
 def load_consensus_config(path: str | Path) -> ConsensusConfig:
     """Build a validated :class:`ConsensusConfig` from a key=value file."""
     return _config_from_text(
-        ConsensusConfig(), Path(path).read_text(encoding="utf-8"), "consensus",
+        ConsensusConfig(), decode_input(Path(path).read_bytes(), ConfigError), "consensus",
         {"agency_reputation": ("agency_reputations", "agency id")},
     )

@@ -93,12 +93,13 @@ class AgencyDecision:
 
 
 class AgencyNode:
-    """Per-agency decision state machine for one cycle at a time.
+    """Per-agency decision state machine for one cycle.
 
-    Messages for later cycles are buffered and replayed when the node
-    advances; messages for earlier cycles and duplicate senders are
-    ignored.  After a decision the node ignores further receipts until
-    the next cycle.
+    The simulator builds fresh nodes for every cycle: a cycle lasts long
+    enough for every delivery and deadline of that cycle to land inside
+    it, so no receipt crosses a cycle boundary.  Receipts for another
+    cycle and from duplicate senders are ignored, and after a decision
+    the node ignores further receipts.
     """
 
     def __init__(self, agency_id: AgencyId, cfg: ConsensusConfig, cycle: int = 0):
@@ -106,17 +107,12 @@ class AgencyNode:
         self.cfg = cfg
         self.cycle = cycle
         self.decision: AgencyDecision | None = None
-        self._buffer: dict[int, list[StateDigest]] = {}
-        self._reset_cycle_state()
-
-    def _reset_cycle_state(self) -> None:
         self._digest_senders: dict[str, list[AgencyId]] = {}
         self._digest_weights: dict[str, float] = {}
         self._seen_senders: set[AgencyId] = set()
         self._total_weight = 0.0
         self._first_receipt: int | None = None
         self._disputed = False
-        self.decision = None
 
     def _sender_weight(self, sender: AgencyId) -> float:
         if not self.cfg.por_weighted:
@@ -125,12 +121,8 @@ class AgencyNode:
 
     def receive(self, msg: StateDigest, now: int) -> tuple[AgencyDecision | None, list[Alert]]:
         """Process one digest receipt; returns (decision, alerts emitted)."""
-        if msg.cycle > self.cycle:
-            self._buffer.setdefault(msg.cycle, []).append(msg)
-            return None, []
-        if msg.cycle < self.cycle or self.decision is not None:
-            return None, []
-        if msg.sender in self._seen_senders:
+        if (msg.cycle != self.cycle or self.decision is not None
+                or msg.sender in self._seen_senders):
             return None, []
         self._seen_senders.add(msg.sender)
         if self._first_receipt is None:
@@ -234,18 +226,6 @@ class AgencyNode:
             self.decision = decision
             return decision, [alert]
         return None, []
-
-    def advance_cycle(
-        self, new_cycle: int, now: int,
-    ) -> list[tuple[AgencyDecision | None, list[Alert]]]:
-        """Move to a new cycle and replay any buffered messages for it."""
-        if new_cycle <= self.cycle:
-            raise ValueError(f"cannot advance from cycle {self.cycle} to {new_cycle}")
-        self.cycle = new_cycle
-        self._reset_cycle_state()
-        for stale in [c for c in self._buffer if c < new_cycle]:
-            del self._buffer[stale]
-        return [self.receive(msg, now) for msg in self._buffer.pop(new_cycle, [])]
 
 
 # --- simulation -----------------------------------------------------------
@@ -384,7 +364,6 @@ def run_simulation(
     randrange, draw = rng.randrange, rng.random
     delay_lo, delay_hi = network.delay_min, network.delay_max + 1
     drop_rate = network.drop_rate
-    nodes = {aid: AgencyNode(aid, cfg, cycle=0) for aid in ids}
     events: list[TranscriptEvent] = []
     log = events.append
     decisions: dict[AgencyId, list[AgencyDecision | None]] = {aid: [] for aid in ids}
@@ -403,7 +382,7 @@ def run_simulation(
 
     for cycle in range(cycles):
         t0 = cycle * period
-        end = t0 + period
+        nodes = {aid: AgencyNode(aid, cfg, cycle) for aid in ids}
         base_digest = state_digest(_cycle_base_state(cycle))
         cycle_events_start = len(events)
         deliveries: dict[int, list[tuple[AgencyId, int, AgencyId, StateDigest]]] = {}
@@ -442,10 +421,8 @@ def run_simulation(
         # Nothing happens at a tick without a delivery or a deadline, so
         # only those are visited: deliveries first, then tick() in id order.
         agenda = set(deliveries)
-        agenda.update(node.deadline for node in nodes.values())
-        agenda.discard(None)
         pending = sorted(agenda)
-        while pending and pending[0] < end:
+        while pending:
             now = heapq.heappop(pending)
             for sender, _msg_id, receiver, msg in sorted(deliveries.pop(now, ())):
                 log(TranscriptEvent(now, "receive", cycle, sender, receiver, msg.digest))
@@ -473,10 +450,6 @@ def run_simulation(
         else:
             accepted_digest = None
         rewards.append(mining_reward(cycle_events, accepted_digest, reward_slots))
-
-        if cycle + 1 < cycles:
-            for aid in ids:
-                nodes[aid].advance_cycle(cycle + 1, now=end)
 
     return SimulationResult(
         agency_ids=ids, cycles=cycles, events=events,

@@ -23,7 +23,7 @@ import math
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .config import EngineConfig
-from .errors import ConfigError, RecordError
+from .errors import RecordError
 from .model import (
     DifferentialReputation,
     FacetedDifferential,
@@ -179,11 +179,10 @@ def blend(
 
     Participants present in only one input map are blended over the
     components they actually have, so a one-sided participant keeps its
-    single differential unscaled.
+    single differential unscaled.  ``cfg`` must have passed
+    :meth:`EngineConfig.validate`, as :func:`run_windows` ensures.
     """
     s, f = cfg.blend_stake, cfg.blend_transaction
-    if s < 0.0 or f < 0.0 or s + f <= 0.0:
-        raise ConfigError("blend weights must be non-negative and not both zero")
     out: dict[ParticipantId, float] = {}
     for pid in {**staked, **transactional}:
         numerator = 0.0

@@ -4,14 +4,10 @@ from __future__ import annotations
 
 
 class LiquidRankError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class RecordError(LiquidRankError):
-    """A rating record or log line was rejected.
+    """Base class for all errors raised by this package.
 
     ``line`` carries the 1-based line number when the error originates
-    from parsing a log file, ``None`` otherwise.
+    from reading an input file, ``None`` otherwise.
     """
 
     def __init__(self, message: str, line: int | None = None):
@@ -19,6 +15,10 @@ class RecordError(LiquidRankError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class RecordError(LiquidRankError):
+    """A rating record or log line was rejected."""
 
 
 class ConfigError(LiquidRankError):

@@ -11,14 +11,12 @@ concentrated the computed reputations are.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import CorrelationUndefinedError, RecordError
-from .model import ParticipantId, ReputationState, check_participant_id
+from .model import ParticipantId, ReputationState, check_participant_id, csv_rows, decode_input
 
 
 def pearson(
@@ -90,17 +88,13 @@ def distribution_stats(state: ReputationState) -> DistributionStats:
 
 def load_reference_list(path: str | Path) -> dict[ParticipantId, float]:
     """Read a ``participant,label`` CSV where labels are exactly 0 or 1."""
-    return parse_reference_list(Path(path).read_text(encoding="utf-8"))
+    return parse_reference_list(decode_input(Path(path).read_bytes()))
 
 
 def parse_reference_list(text: str) -> dict[ParticipantId, float]:
     """Labels by participant; a bad row is a record error naming its line."""
     labels: dict[ParticipantId, float] = {}
-    reader = csv.reader(io.StringIO(text))
-    for row in reader:
-        if not row:
-            continue
-        line = reader.line_num
+    for line, row in csv_rows(text):
         if len(row) != 2:
             raise RecordError(f"expected 'participant,label', got {row!r}", line)
         pid, raw = row

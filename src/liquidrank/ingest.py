@@ -15,16 +15,13 @@ Records are validated on parse and errors carry 1-based line numbers.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Union
 
 from .errors import ConfigError, RecordError
-from .model import Kind, RatingRecord, TimeWindow
+from .model import Kind, RatingRecord, TimeWindow, csv_rows, decode_input
 
 
 @dataclass(frozen=True)
@@ -68,7 +65,7 @@ class PerBlock:
             raise ConfigError(f"block size must be positive, got {self.size}")
 
 
-WindowMode = Union[WholeHistory, PerTransaction, Periodic, PerBlock]
+WindowMode = WholeHistory | PerTransaction | Periodic | PerBlock
 
 
 def window_mode_from_spec(spec: str) -> WindowMode:
@@ -140,11 +137,7 @@ def _build_record(
 
 def _parse_csv(text: str) -> list[RatingRecord]:
     records = []
-    reader = csv.reader(io.StringIO(text))
-    for row in reader:
-        if not row:
-            continue
-        line = reader.line_num
+    for line, row in csv_rows(text):
         if len(row) != _CSV_COLUMNS:
             raise RecordError(
                 f"expected {_CSV_COLUMNS} columns, got {len(row)}", line
@@ -193,15 +186,8 @@ def _parse_jsonl(text: str) -> list[RatingRecord]:
     return records
 
 
-def parse_log(source: Union[str, bytes, IO], fmt: str = "csv") -> list[RatingRecord]:
-    """Parse a rating log from text, bytes, or an open file object."""
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
+def parse_log(text: str, fmt: str = "csv") -> list[RatingRecord]:
+    """Parse a rating log's text."""
     if fmt == "csv":
         return _parse_csv(text)
     if fmt == "jsonl":
@@ -213,7 +199,7 @@ def load_log(path: str | Path) -> list[RatingRecord]:
     """Read a log file, picking the format from the file suffix."""
     path = Path(path)
     fmt = "jsonl" if path.suffix.lower() in (".jsonl", ".ndjson", ".json") else "csv"
-    return parse_log(path.read_bytes(), fmt)
+    return parse_log(decode_input(path.read_bytes()), fmt)
 
 
 def partition(

@@ -7,18 +7,42 @@ at a line feed (see ``liquidrank.store``).  They must also encode as UTF-8,
 so a lone surrogate is rejected: snapshots are UTF-8 text, and their row
 order relies on code-point order matching UTF-8 byte order.
 :func:`check_participant_id` is that rule; rating records, snapshot rows
-and reference lists all go through it.
+and reference lists all go through it.  :func:`decode_input` decodes every
+input file, data and config alike, and translates no line ending;
+:func:`csv_rows` splits the CSV ones into rows.
 """
 
 from __future__ import annotations
 
+import csv
 import enum
+import io
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
-from .errors import RecordError
+from .errors import LiquidRankError, RecordError
 
 ParticipantId = str
+
+
+def decode_input(data: bytes, error: type[LiquidRankError] = RecordError) -> str:
+    """Strict UTF-8 text of input bytes; a bad byte is ``error`` naming its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"byte {data[exc.start]:#04x} is not valid UTF-8", line) from None
+
+
+def csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """Each non-empty CSV row of ``text`` with its line; rows end at "\\n" only."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from ((reader.line_num, row) for row in reader if row)
+    except csv.Error as exc:  # its advice after " - " is about opening files
+        reason = str(exc).partition(" - ")[0]
+        raise RecordError(f"malformed CSV row: {reason}", reader.line_num) from None
 
 
 def check_participant_id(token: str, role: str, line: int | None = None) -> None:

@@ -9,12 +9,11 @@ byte order, so a plain ``sorted`` gives the byte order.  The encoding is
 canonical: equal states produce identical bytes, and consensus digests
 are computed over exactly these bytes.
 
-Two backends share the same semantics.  ``TransientStore`` keeps encoded
-snapshots in memory; ``LocalFileStore`` writes one file per snapshot into
-a directory, named by the zero-padded timestamp.  Each store indexes its
-timestamps once, when it opens, and appends each new timestamp on put.
+``LocalFileStore`` writes one file per snapshot into a directory, named
+by the zero-padded timestamp.  It indexes its timestamps once, when it
+opens, and appends each new timestamp on put.
 
-Each store also keeps one :class:`RowCache`, so a put re-renders only the
+The store also keeps one :class:`RowCache`, so a put re-renders only the
 rows that changed since the previous one.  The cache holds, per
 participant, the value object it last rendered and that row's text, plus
 the sorted id order.  A row is rendered again only when the state's value
@@ -38,7 +37,7 @@ from .errors import (
     StoreConflictError,
     StoreOrderingError,
 )
-from .model import ParticipantId, ReputationState, check_participant_id
+from .model import ParticipantId, ReputationState, check_participant_id, decode_input
 
 
 class RowCache:
@@ -91,7 +90,7 @@ def deserialize_state(data: bytes) -> ReputationState:
     """
     # Rows end at "\n" only: ids may hold other characters splitlines() breaks
     # on.  A CRLF row still parses because int() and float() strip the "\r".
-    lines = data.decode("utf-8").split("\n")
+    lines = decode_input(data).split("\n")
     if lines[-1] == "":
         lines.pop()
     if not lines:
@@ -127,18 +126,29 @@ def load_snapshot(path: str | Path) -> ReputationState:
     return deserialize_state(Path(path).read_bytes())
 
 
-class _BaseStore:
-    """Shared put/get semantics over a backend keyed by timestamp."""
+class LocalFileStore:
+    """One snapshot file per timestamp inside a directory."""
 
-    def __init__(self, stamps: list[int]) -> None:
-        self._stamps = stamps  # ascending
+    def __init__(self, root: str | Path):
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+        stamps = []
+        for path in self.root.glob("*.csv"):
+            try:
+                stamps.append(int(path.stem))
+            except ValueError:
+                continue
+        self._stamps = sorted(stamps)
         self._rows = RowCache()
 
-    def _read(self, at: int) -> bytes | None:
-        raise NotImplementedError
+    def _path(self, at: int) -> Path:
+        return self.root / f"{at:020d}.csv"
 
-    def _write(self, at: int, data: bytes) -> None:
-        raise NotImplementedError
+    def _read(self, at: int) -> bytes | None:
+        path = self._path(at)
+        if not path.exists():
+            return None
+        return path.read_bytes()
 
     def put(self, state: ReputationState) -> None:
         """Append a snapshot.
@@ -159,7 +169,10 @@ class _BaseStore:
             raise StoreOrderingError(
                 f"snapshot at t={state.at} is older than the newest stored t={self._stamps[-1]}"
             )
-        self._write(state.at, data)
+        path = self._path(state.at)
+        tmp = path.with_suffix(".tmp")
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
         self._stamps.append(state.at)
 
     def get(self, at: int) -> ReputationState:
@@ -176,47 +189,3 @@ class _BaseStore:
     def history(self, start: int, end: int) -> list[ReputationState]:
         """All snapshots with start <= t <= end, ascending."""
         return [self.get(at) for at in self._stamps if start <= at <= end]
-
-
-class TransientStore(_BaseStore):
-    """In-memory store; holds the canonical encoding, not live objects."""
-
-    def __init__(self) -> None:
-        super().__init__([])
-        self._snapshots: dict[int, bytes] = {}
-
-    def _read(self, at: int) -> bytes | None:
-        return self._snapshots.get(at)
-
-    def _write(self, at: int, data: bytes) -> None:
-        self._snapshots[at] = data
-
-
-class LocalFileStore(_BaseStore):
-    """One snapshot file per timestamp inside a directory."""
-
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        stamps = []
-        for path in self.root.glob("*.csv"):
-            try:
-                stamps.append(int(path.stem))
-            except ValueError:
-                continue
-        super().__init__(sorted(stamps))
-
-    def _path(self, at: int) -> Path:
-        return self.root / f"{at:020d}.csv"
-
-    def _read(self, at: int) -> bytes | None:
-        path = self._path(at)
-        if not path.exists():
-            return None
-        return path.read_bytes()
-
-    def _write(self, at: int, data: bytes) -> None:
-        path = self._path(at)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(data)
-        os.replace(tmp, path)

@@ -30,7 +30,8 @@ _LOG_3 = (
 
 
 def _write(path, text):
-    path.write_text(text, encoding="utf-8")
+    # "\udcff" in ``text`` writes the raw byte 0xff, which is not UTF-8
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     return str(path)
 
 
@@ -135,6 +136,7 @@ def test_compute_unknown_config_key_exits_2(tmp_path, capsys):
     "use_log_financial = maybe\n",
     "aspect_weight. = 0.5\n",
     "blend_stake = lots\n",
+    "blend_stake = 1\nblend_transaction = \udcff\n",
 ])
 def test_compute_bad_config_file_exits_2(tmp_path, capsys, cfg_text):
     log = _write(tmp_path / "ratings.csv", _LOG_3)
@@ -143,6 +145,8 @@ def test_compute_bad_config_file_exits_2(tmp_path, capsys, cfg_text):
                         "--out", str(tmp_path / "out"), "--config", cfg)
     assert code == 2
     assert err.startswith("error:")
+    if "\udcff" in cfg_text:
+        assert err.startswith("error: line 2: byte 0xff is not valid UTF-8")
 
 
 def test_compute_bad_window_spec_exits_2(tmp_path, capsys):
@@ -155,7 +159,9 @@ def test_compute_bad_window_spec_exits_2(tmp_path, capsys):
 
 def test_compute_invalid_record_names_its_line(tmp_path, capsys):
     for bad_row in ("bob,bob,transaction,,,0.5,1,,200\n",
-                    "bob,carol,transaction,,,0.5,inf,,200\n"):
+                    "bob,carol,transaction,,,0.5,inf,,200\n",
+                    "bob,c\udcffrol,transaction,,,0.5,1,,200\n",
+                    "bob,carol,transaction,,,0.5,1,,200\rcarol,bob,stake,,,1,1,,300\n"):
         log = _write(tmp_path / "ratings.csv", "alice,bob,stake,,,1.0,1,,100\n" + bad_row)
         code, _, err = _run(capsys, "compute", "--log", log, "--window", "whole",
                             "--out", str(tmp_path / "out"))
@@ -330,6 +336,48 @@ def test_export_counts_repeat_edges_and_defaults_unknown_nodes(tmp_path, capsys)
     assert '"b" [weight=0.5];' in text
 
 
+@pytest.mark.parametrize("command, bad_file", [
+    ("stats", "snapshot"), ("validate", "snapshot"), ("validate", "reference"),
+    ("export", "snapshot"), ("export", "log"),
+])
+def test_undecodable_data_file_names_its_line(tmp_path, capsys, command, bad_file):
+    texts = {
+        "snapshot": "10\na,0.9\nb,0.2\n",
+        "reference": "a,1\nb,0\n",
+        "log": "a,b,transaction,,,1.0,1,,5\nb,a,transaction,,,1.0,1,,6\n",
+    }
+    texts[bad_file] = texts[bad_file].replace("b", "b\udcff", 1)
+    paths = {name: _write(tmp_path / f"{name}.csv", text) for name, text in texts.items()}
+    argv = {
+        "stats": ["--snapshot", paths["snapshot"]],
+        "validate": ["--snapshot", paths["snapshot"], "--reference", paths["reference"]],
+        "export": ["--snapshot", paths["snapshot"], "--log", paths["log"],
+                   "--out", str(tmp_path / "graph.dot")],
+    }[command]
+    code, stdout, err = _run(capsys, command, *argv)
+    assert code == 1
+    assert stdout == ""
+    line = texts[bad_file][:texts[bad_file].index("\udcff")].count("\n") + 1
+    assert err.startswith(f"error: line {line}: byte 0xff is not valid UTF-8")
+
+
+@pytest.mark.parametrize("command", ["validate", "export"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-3", "2"])
+def test_bad_default_reputation_exits_2(tmp_path, capsys, command, value):
+    snap = _write_snapshot(tmp_path / "snap.csv", 10, {"a": 0.9, "b": 0.1})
+    argv = {
+        "validate": ["--reference", _write(tmp_path / "ref.csv", "a,1\nb,0\nc,1\n")],
+        "export": ["--log", _write(tmp_path / "ratings.csv", "a,c,transaction,,,1.0,1,,5\n"),
+                   "--out", str(tmp_path / "graph.dot")],
+    }[command]
+    code, stdout, err = _run(capsys, command, "--snapshot", snap,
+                             "--default-reputation", value, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: --default-reputation must lie in [0, 1]")
+    assert not (tmp_path / "graph.dot").exists()
+
+
 # -- simulate ----------------------------------------------------------------
 
 
@@ -429,6 +477,7 @@ def test_simulate_consensus_config_file(tmp_path, capsys):
     "min_identical = lots\n",
     "min_identical = nan\n",
     "max_nonidentical = inf\n",
+    "timeout = 5\n# \udcff\n",
 ])
 def test_simulate_bad_config_file_exits_2(tmp_path, capsys, cfg_text):
     cfg = _write(tmp_path / "consensus.cfg", cfg_text)
@@ -436,6 +485,8 @@ def test_simulate_bad_config_file_exits_2(tmp_path, capsys, cfg_text):
                         "--config", cfg, "--out", str(tmp_path / "sim"))
     assert code == 2
     assert err.startswith("error:")
+    if "\udcff" in cfg_text:
+        assert err.startswith("error: line 2: byte 0xff is not valid UTF-8")
 
 
 @pytest.mark.parametrize("spec", ["gremlin:1", "divergent:x", "divergent:-1",

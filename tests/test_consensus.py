@@ -12,6 +12,7 @@ from liquidrank.consensus import (
     DIVERGENT,
     DIVERGENT_SENDERS,
     EQUIVOCATING,
+    FAULT_KINDS,
     SILENT,
     SYSTEM_CHECK,
     AgencyNode,
@@ -81,40 +82,26 @@ def test_duplicate_sender_counted_once():
     assert node.decision is None
 
 
-def test_later_cycle_buffered_until_advance():
-    node = _node(min_identical=2, cycle=0)
-    assert node.receive(_msg("D", "a", cycle=1), now=0) == (None, [])
-    assert node.receive(_msg("D", "b", cycle=1), now=0) == (None, [])
+def _assert_other_cycle_dropped(other):
+    # a node decides its own cycle only: receipts for any other are dropped
+    node = _node(min_identical=2, cycle=3)
+    assert node.receive(_msg("D", "a", cycle=other), now=0) == (None, [])
+    assert node.receive(_msg("D", "b", cycle=other), now=0) == (None, [])
     assert node.decision is None
-    replayed = node.advance_cycle(1, now=5)
-    decisions = [d for d, _ in replayed if d is not None]
-    assert len(decisions) == 1
-    assert decisions[0].outcome is Outcome.ACCEPTED
-    assert node.decision.cycle == 1
+    assert node.deadline is None
+    return node
+
+
+def test_later_cycle_buffered_until_advance():
+    # nodes keep no buffer: a later-cycle receipt is dropped, not held for
+    # replay, so the node holds no state for it afterwards
+    node = _assert_other_cycle_dropped(4)
+    assert not hasattr(node, "advance_cycle")
+    assert not hasattr(node, "_buffer")
 
 
 def test_earlier_cycle_ignored():
-    node = _node(min_identical=2, cycle=3)
-    assert node.receive(_msg("D", "a", cycle=2), now=0) == (None, [])
-    assert node.decision is None
-
-
-def test_advance_cycle_must_move_forward():
-    node = _node(cycle=2)
-    with pytest.raises(ValueError):
-        node.advance_cycle(2, now=0)
-
-
-def test_advance_drops_stale_buffered_cycles():
-    node = _node(min_identical=2, cycle=0)
-    node.receive(_msg("D", "a", cycle=1), now=0)
-    node.receive(_msg("D", "a", cycle=3), now=0)
-    node.advance_cycle(2, now=1)
-    assert node.decision is None
-    node.advance_cycle(3, now=2)
-    node.receive(_msg("D", "b", cycle=3), now=3)
-    assert node.decision is not None
-    assert node.decision.cycle == 3
+    _assert_other_cycle_dropped(2)
 
 
 # --- timeout ---------------------------------------------------------------
@@ -427,6 +414,28 @@ def test_alert_completeness_for_divergent_senders():
                             and ev.sender in ("a02", "a05")):
                         assert (ev.sender in decision.divergent
                                 or ev.sender in alerted), (seed, cycle, aid, ev.sender)
+
+
+def test_every_cycle_event_lands_inside_its_period():
+    """Nodes live one cycle: nothing of cycle c happens outside its period."""
+    rng = random.Random(31)
+    for _ in range(80):
+        n = rng.randint(2, 6)
+        kinds = [rng.choice(FAULT_KINDS) for _ in range(rng.randint(0, n - 1))]
+        faulty = dict(zip(agency_ids(n), kinds))
+        delay_min = rng.randint(0, 6)
+        delay_max = delay_min + rng.choice([0, 0, 1, 4, 9])
+        network = NetworkModel(delay_min, delay_max, rng.choice([0.0, 0.1, 0.5]))
+        cfg = ConsensusConfig(
+            min_identical=rng.randint(2, 4), max_nonidentical=rng.randint(1, 6),
+            timeout=rng.randint(1, 12),
+        )
+        result = run_simulation(n, faulty, 3, cfg, network, seed=rng.randrange(10**6))
+        # the last agency is never faulty, so every cycle starts with a send
+        period = next(ev.tick for ev in result.events if ev.type == "send" and ev.cycle == 1)
+        for ev in result.events:
+            if ev.type in ("receive", "decision", "alert"):
+                assert ev.cycle * period <= ev.tick < (ev.cycle + 1) * period, (ev, cfg, network)
 
 
 def test_summary_shape_and_counts():

@@ -16,9 +16,11 @@ from liquidrank.engine import (
     normalize_financial,
     normalize_window,
     run_pipeline,
+    run_windows,
     update_state,
 )
 from liquidrank.errors import ConfigError, RecordError
+from liquidrank.ingest import WholeHistory
 from liquidrank.model import Kind, RatingRecord, ReputationState, TimeWindow
 
 
@@ -182,7 +184,7 @@ def test_blend_weighted():
 def test_blend_rejects_both_weights_zero():
     cfg = EngineConfig(blend_stake=0.0, blend_transaction=0.0)
     with pytest.raises(ConfigError):
-        blend({"i": 0.4}, {"i": 0.2}, cfg)
+        list(run_windows([], WholeHistory(), 0, cfg))
 
 
 # --- normalize_window ---------------------------------------------------

@@ -188,6 +188,8 @@ def test_reference_rejects_duplicates_and_shape():
         parse_reference_list("a,yes\n")
     with pytest.raises(RecordError, match="line 2"):
         parse_reference_list('a,1\n"a,b",1\n')  # an id no record may carry
+    with pytest.raises(RecordError, match="line 2: malformed CSV row"):
+        parse_reference_list("a,1\nb,0\rc,1\n")  # rows end at "\n" only
 
 
 def test_load_reference_list_from_file(tmp_path):

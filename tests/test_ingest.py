@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import random
 
 import pytest
@@ -99,12 +98,6 @@ def test_csv_negative_weight_rejected():
         with pytest.raises(RecordError) as err:
             parse_log(f"a,b,transaction,,,0.5,{weight},,1\n", "csv")
         assert "line 1" in str(err.value)
-
-
-def test_parse_log_accepts_bytes_and_streams():
-    line = "a,b,stake,,,1.0,1,,0\n"
-    assert parse_log(line.encode("utf-8"), "csv") == parse_log(line, "csv")
-    assert parse_log(io.StringIO(line), "csv") == parse_log(line, "csv")
 
 
 def test_parse_log_unknown_format():

@@ -1,4 +1,4 @@
-"""Snapshot encoding and the two store backends."""
+"""Snapshot encoding and the snapshot file store."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from liquidrank.errors import (
 from liquidrank.model import ReputationState
 from liquidrank.store import (
     LocalFileStore,
-    TransientStore,
     deserialize_state,
     load_snapshot,
     serialize_state,
@@ -89,63 +88,59 @@ def test_digest_matches_for_equal_states_only():
     assert len(a) == 64
 
 
-# --- store semantics (both backends) -------------------------------------
-
-def _backends(tmp_path):
-    return [TransientStore(), LocalFileStore(tmp_path / "snaps")]
-
+# --- store semantics -------------------------------------------------------
 
 def test_put_get_roundtrip(tmp_path):
-    for store in _backends(tmp_path):
-        state = _state(10, {"a": 0.5, "b": 1.0})
-        store.put(state)
-        got = store.get(10)
-        assert got.at == 10
-        assert got.values == state.values
+    store = LocalFileStore(tmp_path / "snaps")
+    state = _state(10, {"a": 0.5, "b": 1.0})
+    store.put(state)
+    got = store.get(10)
+    assert got.at == 10
+    assert got.values == state.values
 
 
 def test_put_out_of_order_rejected(tmp_path):
-    for store in _backends(tmp_path):
-        store.put(_state(10, {"a": 0.5}))
-        with pytest.raises(StoreOrderingError):
-            store.put(_state(5, {"a": 0.5}))
+    store = LocalFileStore(tmp_path / "snaps")
+    store.put(_state(10, {"a": 0.5}))
+    with pytest.raises(StoreOrderingError):
+        store.put(_state(5, {"a": 0.5}))
 
 
 def test_put_conflict_rejected(tmp_path):
-    for store in _backends(tmp_path):
-        store.put(_state(10, {"a": 0.5}))
-        with pytest.raises(StoreConflictError):
-            store.put(_state(10, {"a": 0.75}))
+    store = LocalFileStore(tmp_path / "snaps")
+    store.put(_state(10, {"a": 0.5}))
+    with pytest.raises(StoreConflictError):
+        store.put(_state(10, {"a": 0.75}))
 
 
 def test_put_identical_is_noop(tmp_path):
-    for store in _backends(tmp_path):
-        store.put(_state(10, {"a": 0.5}))
-        store.put(_state(10, {"a": 0.5}))
-        assert store.latest().at == 10
+    store = LocalFileStore(tmp_path / "snaps")
+    store.put(_state(10, {"a": 0.5}))
+    store.put(_state(10, {"a": 0.5}))
+    assert store.latest().at == 10
 
 
 def test_latest_on_empty_store(tmp_path):
-    for store in _backends(tmp_path):
-        with pytest.raises(SnapshotNotFoundError):
-            store.latest()
+    store = LocalFileStore(tmp_path / "snaps")
+    with pytest.raises(SnapshotNotFoundError):
+        store.latest()
 
 
 def test_get_missing_timestamp(tmp_path):
-    for store in _backends(tmp_path):
-        store.put(_state(10, {"a": 0.5}))
-        with pytest.raises(SnapshotNotFoundError):
-            store.get(11)
+    store = LocalFileStore(tmp_path / "snaps")
+    store.put(_state(10, {"a": 0.5}))
+    with pytest.raises(SnapshotNotFoundError):
+        store.get(11)
 
 
 def test_history_inclusive_range(tmp_path):
-    for store in _backends(tmp_path):
-        for at in (10, 20, 30):
-            store.put(_state(at, {"a": at / 100.0}))
-        got = store.history(15, 30)
-        assert [s.at for s in got] == [20, 30]
-        assert store.history(0, 9) == []
-        assert [s.at for s in store.history(10, 10)] == [10]
+    store = LocalFileStore(tmp_path / "snaps")
+    for at in (10, 20, 30):
+        store.put(_state(at, {"a": at / 100.0}))
+    got = store.history(15, 30)
+    assert [s.at for s in got] == [20, 30]
+    assert store.history(0, 9) == []
+    assert [s.at for s in store.history(10, 10)] == [10]
 
 
 def test_local_store_survives_restart(tmp_path):
@@ -193,69 +188,68 @@ def test_load_snapshot_reads_file(tmp_path):
 
 
 def test_backend_equivalence_random_sequences(tmp_path):
+    """The store hands back exactly the canonical bytes of what was put."""
     rng = random.Random(13)
     for round_no in range(30):
-        transient = TransientStore()
-        local = LocalFileStore(tmp_path / f"snaps{round_no}")
-        stamps = sorted(rng.sample(range(100), rng.randint(1, 8)))
-        for at in stamps:
+        store = LocalFileStore(tmp_path / f"snaps{round_no}")
+        states = {}
+        for at in sorted(rng.sample(range(100), rng.randint(1, 8))):
             values = {f"p{i}": rng.random() for i in range(rng.randint(0, 5))}
-            state = _state(at, values)
-            transient.put(state)
-            local.put(state)
+            states[at] = _state(at, values)
+            store.put(states[at])
         lo, hi = rng.randint(0, 50), rng.randint(50, 120)
-        t_hist = [(s.at, s.values) for s in transient.history(lo, hi)]
-        l_hist = [(s.at, s.values) for s in local.history(lo, hi)]
-        assert t_hist == l_hist
-        assert transient.latest().values == local.latest().values
-        for at in stamps:
-            assert serialize_state(transient.get(at)) == serialize_state(local.get(at))
+        assert [serialize_state(s) for s in store.history(lo, hi)] == [
+            serialize_state(states[at]) for at in states if lo <= at <= hi
+        ]
+        assert serialize_state(store.latest()) == serialize_state(states[max(states)])
+        for at, state in states.items():
+            assert store._read(at) == serialize_state(state)
+            assert serialize_state(store.get(at)) == serialize_state(state)
 
 
 def test_row_cache_matches_fresh_encoding(tmp_path):
     """A put re-renders only changed rows; the stored bytes must not show it."""
     ids = [f"p{i}" for i in range(10)] + ["é", "\U0001f600x", "z\uffff", "b\u2028"]
-    for backend in ("transient", "local"):
-        rng = random.Random(2024)
-        root = tmp_path / backend
-        store = TransientStore() if backend == "transient" else LocalFileStore(root)
-        values: dict[str, float] = {}
-        stored: dict[int, bytes] = {}
-        at = 0
-        for _ in range(400):
-            if stored and rng.random() < 0.1:
-                # a rejected put, with an id added or dropped, then a good put
-                bad = dict(values)
-                if bad and rng.random() < 0.5:
-                    del bad[rng.choice(sorted(bad))]
-                else:
-                    bad["intruder"] = rng.random()
-                if rng.random() < 0.5:
-                    with pytest.raises(StoreConflictError):
-                        store.put(_state(at, bad))
-                else:
-                    with pytest.raises(StoreOrderingError):
-                        store.put(_state(at - 1, bad))
-            if backend == "local" and rng.random() < 0.05:
-                store = LocalFileStore(root)
-            values = dict(values)  # as the engine does: untouched values keep their objects
-            for pid in rng.sample(ids, rng.randint(0, 3)):
-                values[pid] = rng.choice([rng.random(), 0.0, -0.0, 1.0])
-            if values and rng.random() < 0.15:
-                del values[rng.choice(sorted(values))]
-            if values and rng.random() < 0.3:
-                pid = rng.choice(sorted(values))
-                fresh = float(repr(values[pid]))  # equal value, new object
-                assert fresh is not values[pid]
-                values[pid] = fresh
-            zeros = sorted(pid for pid, v in values.items() if v == 0.0)
-            if zeros and rng.random() < 0.5:
-                pid = rng.choice(zeros)
-                values[pid] = -values[pid]  # 0.0 <-> -0.0: equal, but the reprs differ
-            at += 2
-            state = _state(at, values)
-            store.put(state)
-            stored[at] = serialize_state(state)
-            assert store._read(at) == stored[at]
-        for stamp, data in stored.items():
-            assert store._read(stamp) == data
+    rng = random.Random(2024)
+    root = tmp_path / "snaps"
+    store = LocalFileStore(root)
+    values: dict[str, float] = {}
+    stored: dict[int, bytes] = {}
+    at = 0
+    for _ in range(400):
+        if stored and rng.random() < 0.1:
+            # a rejected put, with an id added or dropped, then a good put
+            bad = dict(values)
+            if bad and rng.random() < 0.5:
+                del bad[rng.choice(sorted(bad))]
+            else:
+                bad["intruder"] = rng.random()
+            if rng.random() < 0.5:
+                with pytest.raises(StoreConflictError):
+                    store.put(_state(at, bad))
+            else:
+                with pytest.raises(StoreOrderingError):
+                    store.put(_state(at - 1, bad))
+        if rng.random() < 0.05:
+            store = LocalFileStore(root)
+        values = dict(values)  # as the engine does: untouched values keep their objects
+        for pid in rng.sample(ids, rng.randint(0, 3)):
+            values[pid] = rng.choice([rng.random(), 0.0, -0.0, 1.0])
+        if values and rng.random() < 0.15:
+            del values[rng.choice(sorted(values))]
+        if values and rng.random() < 0.3:
+            pid = rng.choice(sorted(values))
+            fresh = float(repr(values[pid]))  # equal value, new object
+            assert fresh is not values[pid]
+            values[pid] = fresh
+        zeros = sorted(pid for pid, v in values.items() if v == 0.0)
+        if zeros and rng.random() < 0.5:
+            pid = rng.choice(zeros)
+            values[pid] = -values[pid]  # 0.0 <-> -0.0: equal, but the reprs differ
+        at += 2
+        state = _state(at, values)
+        store.put(state)
+        stored[at] = serialize_state(state)
+        assert store._read(at) == stored[at]
+    for stamp, data in stored.items():
+        assert store._read(stamp) == data
