@@ -188,23 +188,27 @@ def cmd_export(args: argparse.Namespace) -> int:
     check_reputation("--default-reputation", args.default_reputation)
     state = load_snapshot(args.snapshot)
     records = load_log(args.log)
-    participants = set(state.values)
+    values = state.values
     edges: dict[tuple[str, str], int] = {}
-    for rec in records:
-        participants.add(rec.rater)
-        participants.add(rec.ratee)
-        edges[(rec.rater, rec.ratee)] = edges.get((rec.rater, rec.ratee), 0) + 1
+    # Popping frees each record as it is counted, so the edge keys reuse its
+    # memory instead of adding to the log's.
+    while records:
+        rec = records.pop()
+        edge = (rec.rater, rec.ratee)
+        edges[edge] = edges.get(edge, 0) + 1
+    log_only = {pid for edge in edges for pid in edge if pid not in values}
 
-    lines = ["digraph reputation {"]
-    for pid in sorted(participants):
-        weight = state.values.get(pid, args.default_reputation)
-        lines.append(f"  {_dot_quote(pid)} [weight={weight!r}];")
-    for (rater, ratee) in sorted(edges):
-        lines.append(
-            f"  {_dot_quote(rater)} -> {_dot_quote(ratee)} [weight={edges[(rater, ratee)]}];"
-        )
-    lines.append("}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # Each line goes to the file as it is rendered, so the graph is never
+    # held whole; the file opens only once both inputs have parsed.
+    with open(args.out, "w", encoding="utf-8") as out:
+        out.write("digraph reputation {\n")
+        for pid in sorted([*values, *log_only]):
+            weight = values.get(pid, args.default_reputation)
+            out.write(f"  {_dot_quote(pid)} [weight={weight!r}];\n")
+        for edge in sorted(edges):
+            rater, ratee = edge
+            out.write(f"  {_dot_quote(rater)} -> {_dot_quote(ratee)} [weight={edges[edge]}];\n")
+        out.write("}\n")
     return 0
 
 

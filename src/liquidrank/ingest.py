@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, RecordError
-from .model import Kind, RatingRecord, TimeWindow, csv_rows, decode_input
+from .model import Kind, RatingRecord, TimeWindow, csv_rows, decode_input, text_lines
 
 
 @dataclass(frozen=True)
@@ -152,8 +152,10 @@ def _parse_csv(text: str) -> list[RatingRecord]:
 def _parse_jsonl(text: str) -> list[RatingRecord]:
     records = []
     # Lines end at "\n" only: a JSON string may hold U+2028 and other
-    # characters that str.splitlines() breaks on.
-    for line_num, raw in enumerate(text.split("\n"), start=1):
+    # characters that str.splitlines() breaks on.  The "\n" is cut before
+    # json.loads, which would call it a control character in an open string.
+    for line_num, line in enumerate(text_lines(text), start=1):
+        raw = line.removesuffix("\n")
         if not raw.strip():
             continue
         try:

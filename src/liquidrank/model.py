@@ -9,15 +9,17 @@ order relies on code-point order matching UTF-8 byte order.
 :func:`check_participant_id` is that rule; rating records, snapshot rows
 and reference lists all go through it.  :func:`decode_input` decodes every
 input file, data and config alike, and translates no line ending;
+:func:`text_lines` splits a log or reference list into lines and
 :func:`csv_rows` splits the CSV ones into rows.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import enum
-import io
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -27,17 +29,35 @@ ParticipantId = str
 
 
 def decode_input(data: bytes, error: type[LiquidRankError] = RecordError) -> str:
-    """Strict UTF-8 text of input bytes; a bad byte is ``error`` naming its line."""
+    """Strict UTF-8 text of input bytes, less one leading byte-order mark.
+
+    A bad byte is ``error`` naming its line.  The mark is cut from the bytes
+    rather than decoded as "utf-8-sig", whose error offsets skip it.
+    """
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
-        return data.decode("utf-8")
+        return data[start:].decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise error(f"byte {data[exc.start]:#04x} is not valid UTF-8", line) from None
+        at = start + exc.start
+        line = data.count(b"\n", 0, at) + 1
+        raise error(f"byte {data[at]:#04x} is not valid UTF-8", line) from None
+
+
+_LINE = re.compile(r"[^\n]*\n|[^\n]+")
+
+
+def text_lines(text: str) -> Iterator[str]:
+    """The lines of ``text`` one at a time, each with its "\\n" if it has one.
+
+    Lines end at "\\n" only, as in ``io.StringIO(text).readlines()``, but no
+    copy of ``text`` is made: a StringIO holds 4 bytes per character.
+    """
+    return map(re.Match.group, _LINE.finditer(text))
 
 
 def csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
     """Each non-empty CSV row of ``text`` with its line; rows end at "\\n" only."""
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(text_lines(text))
     try:
         yield from ((reader.line_num, row) for row in reader if row)
     except csv.Error as exc:  # its advice after " - " is about opening files

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -147,6 +148,20 @@ def test_compute_bad_config_file_exits_2(tmp_path, capsys, cfg_text):
     assert err.startswith("error:")
     if "\udcff" in cfg_text:
         assert err.startswith("error: line 2: byte 0xff is not valid UTF-8")
+
+
+def test_compute_ignores_a_byte_order_mark_on_log_and_config(tmp_path, capsys):
+    results = []
+    for name, mark in (("plain", ""), ("marked", "\ufeff")):
+        log = _write(tmp_path / f"{name}.csv", mark + _LOG_3)
+        cfg = _write(tmp_path / f"{name}.cfg", mark + "use_log_financial = true\n")
+        out = tmp_path / name
+        code, stdout, err = _run(capsys, "compute", "--log", log, "--config", cfg,
+                                 "--window", "tx", "--out", str(out))
+        assert (code, err) == (0, "")
+        results.append((stdout, _tree_bytes(out)))
+    assert results[0] == results[1]
+    assert results[0][0].startswith(("alice,", "bob,", "carol,"))
 
 
 def test_compute_bad_window_spec_exits_2(tmp_path, capsys):
@@ -334,6 +349,57 @@ def test_export_counts_repeat_edges_and_defaults_unknown_nodes(tmp_path, capsys)
     text = dot.read_text()
     assert '"a" -> "b" [weight=2];' in text
     assert '"b" [weight=0.5];' in text
+
+
+def _csv_field(token):
+    return '"' + token.replace('"', '""') + '"'
+
+
+def _dot_by_join(values, records, default):
+    """The DOT text built as a list of lines and joined once; ``export``
+    writes each line as it renders it and must give the same bytes."""
+    def quote(token):
+        return '"' + token.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    participants = set(values)
+    edges = {}
+    for rater, ratee in records:
+        participants.update((rater, ratee))
+        edges[(rater, ratee)] = edges.get((rater, ratee), 0) + 1
+    lines = ["digraph reputation {"]
+    for pid in sorted(participants):
+        lines.append(f"  {quote(pid)} [weight={values.get(pid, default)!r}];")
+    for (rater, ratee) in sorted(edges):
+        lines.append(f"  {quote(rater)} -> {quote(ratee)} [weight={edges[(rater, ratee)]}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_export_bytes_match_list_and_join_rendering(tmp_path, capsys, seed):
+    rng = random.Random(seed)
+    ids = ["a", 'q"uote', "back\\slash", '\\"', "é", "z z", "m\t"] + [f"p{i}" for i in range(30)]
+    snapshot_only = ['s"0', "s\\1", "s2"]
+    values = {
+        pid: rng.choice([0.0, 1.0, rng.random()])
+        for pid in rng.sample(ids, 15) + snapshot_only
+    }
+    # Most ratings fall among the first dozen ids, so edges repeat.
+    records = [tuple(rng.sample(ids[:12] if t % 3 else ids, 2)) for t in range(300)]
+    log_text = "".join(
+        f"{_csv_field(rater)},{_csv_field(ratee)},transaction,,,0.5,1,,{t}\n"
+        for t, (rater, ratee) in enumerate(records)
+    )
+    log_ids = {pid for edge in records for pid in edge}
+    assert set(values) - log_ids and log_ids - set(values)  # both kinds of node
+    assert len(set(records)) < len(records)
+    snap = _write_snapshot(tmp_path / "snap.csv", 10, values)
+    log = _write(tmp_path / "ratings.csv", log_text)
+    dot = tmp_path / "graph.dot"
+    code, stdout, err = _run(capsys, "export", "--snapshot", snap, "--log", log,
+                             "--out", str(dot), "--default-reputation", "0.25")
+    assert (code, stdout, err) == (0, "", "")
+    assert dot.read_bytes() == _dot_by_join(values, records, 0.25).encode("utf-8")
 
 
 @pytest.mark.parametrize("command, bad_file", [

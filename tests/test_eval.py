@@ -196,3 +196,13 @@ def test_load_reference_list_from_file(tmp_path):
     path = tmp_path / "ref.csv"
     path.write_text("alice,1.0\nbob,0.0\n")
     assert load_reference_list(path) == {"alice": 1.0, "bob": 0.0}
+
+
+def test_reference_list_with_byte_order_mark_scores_the_same(tmp_path):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(b"a,1\nb,0\nc,1\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    state = _state({"a": 0.9, "b": 0.2, "c": 0.4})
+    reference = load_reference_list(plain)
+    assert load_reference_list(marked) == reference
+    assert pearson(load_reference_list(marked), state) == pearson(reference, state)

@@ -161,6 +161,21 @@ def test_load_log_picks_format_from_suffix(tmp_path):
     assert load_log(csv_path) == load_log(jsonl_path)
 
 
+@pytest.mark.parametrize("name, text", [
+    ("log.csv", "alice,bob,stake,,,1.0,1,,100\nalice,carol,stake,,,0.5,1,,100\n"),
+    ("log.jsonl",
+     '{"rater": "alice", "ratee": "bob", "kind": "stake", "value": 1.0, "timestamp": 100}\n'),
+])
+def test_load_log_ignores_a_leading_byte_order_mark(tmp_path, name, text):
+    plain = tmp_path / "plain" / name
+    marked = tmp_path / "marked" / name
+    for path, data in ((plain, text.encode()), (marked, b"\xef\xbb\xbf" + text.encode())):
+        path.parent.mkdir()
+        path.write_bytes(data)
+    assert load_log(marked) == load_log(plain)
+    assert {rec.rater for rec in load_log(marked)} == {"alice"}
+
+
 # --- window_mode_from_spec ------------------------------------------------
 
 def test_window_mode_spec_parsing():
