@@ -40,14 +40,6 @@ from .model import ReputationState
 from .store import LocalFileStore, load_snapshot
 
 
-def _window_json(window) -> dict:
-    return {
-        "t_origin": window.t_origin,
-        "t_prev": window.t_prev,
-        "t_now": window.t_now,
-    }
-
-
 def cmd_compute(args: argparse.Namespace) -> int:
     cfg = load_engine_config(args.config) if args.config else EngineConfig()
     mode = window_mode_from_spec(args.window)
@@ -61,17 +53,10 @@ def cmd_compute(args: argparse.Namespace) -> int:
     store = LocalFileStore(out_dir / "snapshots")
     final = ReputationState(at=t_origin, values={})
     with open(out_dir / "differentials.jsonl", "w", encoding="utf-8") as audit:
-        for window, state, diff in run_windows(records, mode, t_origin, cfg):
+        for _, state, diff in run_windows(records, mode, t_origin, cfg):
             store.put(state)
             final = state
-            audit.write(json.dumps({
-                "window": _window_json(window),
-                "staked": diff.staked,
-                "transactional": diff.transactional,
-                "blended": diff.blended,
-                "log_blended": diff.log_blended,
-                "normalized": diff.normalized,
-            }, sort_keys=True))
+            audit.write(json.dumps({**vars(diff), "window": vars(diff.window)}, sort_keys=True))
             audit.write("\n")
 
     ranking = sorted(final.values.items(), key=lambda kv: (-kv[1], kv[0]))

@@ -86,28 +86,24 @@ def window_mode_from_spec(spec: str) -> WindowMode:
     )
 
 
-_CSV_COLUMNS = 9
 _KINDS = {kind.value: kind for kind in Kind}
-# JSON types each field accepts besides null; a bool is neither int nor float.
-_JSON_FIELDS = {
+# The log's fields in CSV column order, each with the JSON types it accepts
+# besides null; a bool is neither int nor float.
+_FIELDS = {
     "rater": (str,), "ratee": (str,), "kind": (str,), "aspect": (str,),
     "category": (str,), "value": (int, float), "weight": (int, float),
     "event": (str,), "timestamp": (int,),
 }
 
 
-def _build_record(
-    line: int,
-    rater: str,
-    ratee: str,
-    kind: str,
-    aspect: str | None,
-    category: str | None,
-    value: str | float,
-    weight: str | float | None,
-    event: str | None,
-    timestamp: str | int,
-) -> RatingRecord:
+def _build_record(line: int, fields: list) -> RatingRecord:
+    """Convert one log line's fields, in ``_FIELDS`` order, to a record.
+
+    CSV fields are strings; JSONL fields are the parsed values, None when
+    absent.  They come as one list, not as nine arguments, because a
+    ``*row`` call costs more per record than unpacking here.
+    """
+    rater, ratee, kind, aspect, category, value, weight, event, timestamp = fields
     kind_enum = _KINDS.get(str(kind).lower())
     if kind_enum is None:
         raise RecordError(f"unknown rating kind {kind!r}", line)
@@ -138,14 +134,9 @@ def _build_record(
 def _parse_csv(text: str) -> list[RatingRecord]:
     records = []
     for line, row in csv_rows(text):
-        if len(row) != _CSV_COLUMNS:
-            raise RecordError(
-                f"expected {_CSV_COLUMNS} columns, got {len(row)}", line
-            )
-        rater, ratee, kind, aspect, category, value, weight, event, timestamp = row
-        records.append(_build_record(
-            line, rater, ratee, kind, aspect, category, value, weight, event, timestamp,
-        ))
+        if len(row) != len(_FIELDS):
+            raise RecordError(f"expected {len(_FIELDS)} columns, got {len(row)}", line)
+        records.append(_build_record(line, row))
     return records
 
 
@@ -164,27 +155,16 @@ def _parse_jsonl(text: str) -> list[RatingRecord]:
             raise RecordError(f"invalid JSON: {exc.msg}", line_num) from None
         if not isinstance(obj, dict):
             raise RecordError("expected a JSON object", line_num)
-        unknown = obj.keys() - _JSON_FIELDS.keys()
+        unknown = obj.keys() - _FIELDS.keys()
         if unknown:
             raise RecordError(f"unknown fields {sorted(unknown)}", line_num)
         for name, value in obj.items():
-            if value is not None and type(value) not in _JSON_FIELDS[name]:
+            if value is not None and type(value) not in _FIELDS[name]:
                 raise RecordError(f"field {name!r} has the wrong type: {value!r}", line_num)
         for required in ("rater", "ratee", "kind", "value", "timestamp"):
             if obj.get(required) is None:
                 raise RecordError(f"missing required field {required!r}", line_num)
-        records.append(_build_record(
-            line_num,
-            obj["rater"],
-            obj["ratee"],
-            obj["kind"],
-            obj.get("aspect"),
-            obj.get("category"),
-            obj["value"],
-            obj.get("weight"),
-            obj.get("event"),
-            obj["timestamp"],
-        ))
+        records.append(_build_record(line_num, list(map(obj.get, _FIELDS))))
     return records
 
 

@@ -156,6 +156,10 @@ class DifferentialReputation:
     per ratee, ``blended`` their combination, ``log_blended`` the optional
     log-compressed blend (``None`` when log compression is disabled) and
     ``normalized`` the final unit-max map fed into the state update.
+
+    The fields are the keys of a ``differentials.jsonl`` audit line, which
+    ``compute`` writes from this record with ``window`` as an object of the
+    window's three bounds.
     """
 
     window: TimeWindow

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -159,6 +160,47 @@ def test_load_log_picks_format_from_suffix(tmp_path):
     jsonl_path = tmp_path / "log.jsonl"
     jsonl_path.write_text('{"rater": "a", "ratee": "b", "kind": "stake", "value": 1.0, "timestamp": 0}\n')
     assert load_log(csv_path) == load_log(jsonl_path)
+
+
+_CSV_ORDER = ("rater", "ratee", "kind", "aspect", "category", "value", "weight",
+              "event", "timestamp")
+
+
+def test_csv_and_jsonl_parse_the_same_records():
+    """Seeded records written in both formats parse to equal lists.
+
+    The CSV column order is spelled here, apart from the parser's field
+    table, so a table whose order differs from the columns fails.
+    """
+    rng = random.Random(10)
+    ids = ["alice", "bob", "dané", "u v", "p7", "\U0001f600"]
+    csv_lines, jsonl_lines = [], []
+    for i in range(400):
+        rater, ratee = rng.sample(ids, 2)
+        fields = {
+            "rater": rater, "ratee": ratee,
+            "kind": rng.choice(["stake", "transaction", "Stake", "TRANSACTION"]),
+            "aspect": rng.choice([None, "speed", "quality"]),
+            "category": rng.choice([None, "food", "tools"]),
+            "value": rng.choice([0, 1, -1, 0.0, round(rng.uniform(-1, 1), rng.randrange(1, 17))]),
+            "weight": rng.choice([None, 0, 3, rng.lognormvariate(0, 2)]),
+            "event": rng.choice([None, f"e{i}"]),
+            "timestamp": rng.randrange(-50, 10**12),
+        }
+        csv_lines.append(",".join(
+            "" if fields[name] is None else str(fields[name]) for name in _CSV_ORDER
+        ))
+        obj = {}
+        for name in rng.sample(_CSV_ORDER, len(_CSV_ORDER)):
+            if fields[name] is not None or rng.random() < 0.5:
+                obj[name] = fields[name]
+        jsonl_lines.append(json.dumps(obj, ensure_ascii=rng.random() < 0.5))
+    from_csv = parse_log("".join(line + "\n" for line in csv_lines), "csv")
+    from_jsonl = parse_log("".join(line + "\n" for line in jsonl_lines), "jsonl")
+    assert len(from_csv) == 400
+    assert from_csv == from_jsonl
+    assert {rec.aspect for rec in from_csv} == {None, "speed", "quality"}
+    assert {rec.category for rec in from_csv} == {None, "food", "tools"}
 
 
 @pytest.mark.parametrize("name, text", [
