@@ -73,11 +73,12 @@ class ConsensusConfig:
     """Protocol thresholds.
 
     Without reputation weighting ``min_identical`` (the acceptance quorum)
-    and ``max_nonidentical`` (the receipt cap that forces resolution) are
-    whole counts; with ``por_weighted`` they are thresholds on sums of the
-    sender reputations from ``agency_reputations`` (unknown senders weigh
-    1.0).  ``timeout`` is measured in ticks since a node's first receipt
-    of the cycle.
+    and ``max_nonidentical`` (the receipt cap) are whole counts; with
+    ``por_weighted`` they are thresholds on sums of the sender reputations
+    from ``agency_reputations`` (unknown senders weigh 1.0).  The node
+    tests the cap only while every digest is below ``min_identical``, so
+    today it never resolves a cycle (ROADMAP item 8).  ``timeout`` is
+    measured in ticks since a node's first receipt of the cycle.
     """
 
     min_identical: float = 2

@@ -3,12 +3,12 @@
 Each cycle every agency broadcasts the digest of its canonical state
 snapshot and independently decides from the receipts it sees.  A node
 accepts once enough identical digests arrive; a receipt that conflicts
-with earlier ones marks the cycle disputed and raises an alert; when the
-receipt cap is hit the node resolves in favor of the best-supported
-digest; and a node that cannot decide within the timeout declares the
-cycle broken and requests a system check.  Optionally receipts are
-weighted by the sender agency's own reputation instead of being counted,
-in which case the two thresholds are weight thresholds.
+with earlier ones marks the cycle disputed and raises an alert; and a
+node that cannot decide within the timeout declares the cycle broken and
+requests a system check.  ``receive`` tests the receipt cap only while
+every digest is below ``min_identical``, so today the cap never resolves
+a cycle (ROADMAP item 8).  Receipts may be weighted by the sender
+agency's own reputation; both thresholds are then weight sums.
 
 The simulator drives a set of nodes over a lossy, delayed network with
 configurable fault models and produces a deterministic event transcript:
@@ -112,7 +112,6 @@ class AgencyNode:
         self._seen_senders: set[AgencyId] = set()
         self._total_weight = 0.0
         self._first_receipt: int | None = None
-        self._disputed = False
 
     def _sender_weight(self, sender: AgencyId) -> float:
         if not self.cfg.por_weighted:
@@ -129,13 +128,12 @@ class AgencyNode:
             self._first_receipt = now
 
         alerts: list[Alert] = []
-        conflicting = any(d != msg.digest for d in self._digest_senders)
         self._digest_senders.setdefault(msg.digest, []).append(msg.sender)
         weight = self._sender_weight(msg.sender)
         self._digest_weights[msg.digest] = self._digest_weights.get(msg.digest, 0.0) + weight
         self._total_weight += weight
-        if conflicting:
-            self._disputed = True
+        # Every other digest came earlier: more than one is a conflict.
+        if len(self._digest_senders) > 1:
             alerts.append(Alert(
                 kind=DISPUTED_SET,
                 cycle=self.cycle,
@@ -163,7 +161,7 @@ class AgencyNode:
         return tuple(sorted(others))
 
     def _accept(self, digest: str) -> AgencyDecision:
-        if not self._disputed:
+        if len(self._digest_senders) == 1:
             return AgencyDecision(Outcome.ACCEPTED, self.cycle, digest)
         divergent = self._other_senders(digest)
         alert = Alert(
@@ -181,7 +179,8 @@ class AgencyNode:
         """Resolve at the receipt cap for the best-supported digest.
 
         Ties go to the lexicographically smallest digest and are called
-        out in the alert.
+        out in the alert.  Never called today: ``receive`` tests the cap
+        only while every digest is below ``min_identical`` (ROADMAP item 8).
         """
         best = max(self._digest_weights.values())
         leaders = sorted(d for d, w in self._digest_weights.items() if w == best)
@@ -338,7 +337,7 @@ def run_simulation(
     nothing, divergent ones broadcast a digest of a forked state, and
     equivocating ones send a different forked digest to every peer.
     Delivery order is deterministic: events are processed by (tick,
-    sender, message id), and all randomness comes from ``seed``.  Only
+    send order), and all randomness comes from ``seed``.  Only
     ticks that hold a delivery or a node's timeout deadline are visited,
     so the cost follows the messages, not the width of the delay range.
     """
@@ -369,7 +368,6 @@ def run_simulation(
     decisions: dict[AgencyId, list[AgencyDecision | None]] = {aid: [] for aid in ids}
     rewards: list[list[AgencyId]] = []
     period = cfg.timeout + network.delay_max + 2
-    msg_counter = 0
 
     def log_node_output(now, aid, decision, alerts):
         for alert in alerts:
@@ -385,7 +383,9 @@ def run_simulation(
         nodes = {aid: AgencyNode(aid, cfg, cycle) for aid in ids}
         base_digest = state_digest(_cycle_base_state(cycle))
         cycle_events_start = len(events)
-        deliveries: dict[int, list[tuple[AgencyId, int, AgencyId, StateDigest]]] = {}
+        # tick -> (receiver, msg) in send order: senders by zero-padded id,
+        # each sender's own receipt before its receivers in id order.
+        deliveries: dict[int, list[tuple[AgencyId, StateDigest]]] = {}
 
         for sender in ids:
             fault = faulty.get(sender)
@@ -402,8 +402,7 @@ def run_simulation(
                 log(TranscriptEvent(t0, "send", cycle, sender, digest=own_digest))
 
             # A sender's own digest counts as a receipt at send time.
-            msg_counter += 1
-            deliveries.setdefault(t0, []).append((sender, msg_counter, sender, own_msg))
+            deliveries.setdefault(t0, []).append((sender, own_msg))
             for receiver in ids:
                 if receiver == sender:
                     continue
@@ -415,17 +414,15 @@ def run_simulation(
                 at = t0 + randrange(delay_lo, delay_hi)
                 if draw() < drop_rate:
                     continue
-                msg_counter += 1
-                deliveries.setdefault(at, []).append((sender, msg_counter, receiver, msg))
+                deliveries.setdefault(at, []).append((receiver, msg))
 
-        # Nothing happens at a tick without a delivery or a deadline, so
-        # only those are visited: deliveries first, then tick() in id order.
-        agenda = set(deliveries)
-        pending = sorted(agenda)
+        # Only ticks holding a delivery or a deadline are visited, each once
+        # (a new deadline lies after ``now``): deliveries, then tick() by id.
+        pending = sorted(deliveries)
         while pending:
             now = heapq.heappop(pending)
-            for sender, _msg_id, receiver, msg in sorted(deliveries.pop(now, ())):
-                log(TranscriptEvent(now, "receive", cycle, sender, receiver, msg.digest))
+            for receiver, msg in deliveries.pop(now):
+                log(TranscriptEvent(now, "receive", cycle, msg.sender, receiver, msg.digest))
                 decision, alerts = nodes[receiver].receive(msg, now)
                 log_node_output(now, receiver, decision, alerts)
             for aid in ids:
@@ -433,8 +430,8 @@ def run_simulation(
                 decision, alerts = node.tick(now)
                 log_node_output(now, aid, decision, alerts)
                 deadline = node.deadline
-                if deadline is not None and deadline not in agenda:
-                    agenda.add(deadline)
+                if deadline is not None and deadline not in deliveries:
+                    deliveries[deadline] = []
                     heapq.heappush(pending, deadline)
 
         cycle_events = events[cycle_events_start:]
@@ -446,7 +443,7 @@ def run_simulation(
                 accepted[decision.digest] = accepted.get(decision.digest, 0) + 1
         if accepted:
             best = max(accepted.values())
-            accepted_digest = sorted(d for d, c in accepted.items() if c == best)[0]
+            accepted_digest = min(d for d, c in accepted.items() if c == best)
         else:
             accepted_digest = None
         rewards.append(mining_reward(cycle_events, accepted_digest, reward_slots))

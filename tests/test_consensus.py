@@ -438,6 +438,67 @@ def test_every_cycle_event_lands_inside_its_period():
                 assert ev.cycle * period <= ev.tick < (ev.cycle + 1) * period, (ev, cfg, network)
 
 
+def _random_simulation(rng):
+    n = rng.randint(1, 9)
+    kinds = [rng.choice(FAULT_KINDS) for _ in range(rng.randint(0, n))]
+    faulty = dict(zip(rng.sample(agency_ids(n), len(kinds)), kinds))
+    delay_min = rng.randint(0, 3)
+    network = NetworkModel(delay_min, delay_min + rng.randint(0, 4), rng.choice([0.0, 0.1, 0.3]))
+    if rng.random() < 0.5:
+        reputations = {aid: rng.choice([0.0, 0.3, 1.0, rng.random()]) for aid in agency_ids(n)}
+        cfg = ConsensusConfig(
+            min_identical=rng.uniform(0.2, 3.0), max_nonidentical=rng.uniform(0.2, 5.0),
+            timeout=rng.randint(1, 8), por_weighted=True, agency_reputations=reputations,
+        )
+    else:
+        cfg = ConsensusConfig(
+            min_identical=rng.randint(2, 4), max_nonidentical=rng.randint(1, 6),
+            timeout=rng.randint(1, 8),
+        )
+    return run_simulation(n, faulty, rng.randint(1, 3), cfg, network, seed=rng.randrange(10**6))
+
+
+def test_receipts_come_in_send_order_and_disputes_follow_digest_counts():
+    """Checked from the transcript alone, over random configurations."""
+    rng = random.Random(47)
+    for _ in range(200):
+        result = _random_simulation(rng)
+        events = result.events
+        # Within a (cycle, tick): senders by id, each sender's own receipt
+        # before its receivers in id order.
+        last_key = {}
+        for ev in events:
+            if ev.type == "receive":
+                key = (ev.sender, ev.receiver != ev.sender, ev.receiver)
+                prev = last_key.get((ev.cycle, ev.tick))
+                assert prev is None or prev < key, (prev, ev)
+                last_key[ev.cycle, ev.tick] = key
+        # Replay each node's receipts: a disputed_set alert follows a receipt
+        # exactly when the node already holds a different digest.
+        held = {}
+        decided = set()
+        for i, ev in enumerate(events):
+            if ev.type == "receive":
+                node = (ev.cycle, ev.receiver)
+                digests = held.setdefault(node, set())
+                after = events[i + 1] if i + 1 < len(events) else None
+                disputed = (after is not None and after.type == "alert"
+                            and after.sender == ev.receiver
+                            and after.alert.kind == DISPUTED_SET)
+                expected = node not in decided and bool(digests - {ev.digest})
+                assert disputed == expected, (ev, digests)
+                if node not in decided:
+                    digests.add(ev.digest)
+            elif ev.type == "decision":
+                node = (ev.cycle, ev.sender)
+                decided.add(node)
+                digests = held[node]
+                if ev.decision.outcome is not Outcome.BROKEN:
+                    assert (ev.decision.outcome is Outcome.ACCEPTED_WITH_DISPUTE) == (
+                        len(digests) >= 2
+                    ), (ev, digests)
+
+
 def test_summary_shape_and_counts():
     cfg = ConsensusConfig(min_identical=3, max_nonidentical=5)
     result = run_simulation(5, faulty={"a00": DIVERGENT}, cycles=2, cfg=cfg, seed=6)
