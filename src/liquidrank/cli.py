@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import consensus
@@ -52,12 +54,19 @@ def cmd_compute(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     store = LocalFileStore(out_dir / "snapshots")
     final = ReputationState(at=t_origin, values={})
-    with open(out_dir / "differentials.jsonl", "w", encoding="utf-8") as audit:
-        for _, state, diff in run_windows(records, mode, t_origin, cfg):
-            store.put(state)
-            final = state
-            audit.write(json.dumps({**vars(diff), "window": vars(diff.window)}, sort_keys=True))
-            audit.write("\n")
+    # The audit replaces the previous run's only once the whole fold has
+    # succeeded, so a failed rerun leaves that one intact.
+    partial = out_dir / "differentials.jsonl.partial"
+    try:
+        with open(partial, "w", encoding="utf-8") as audit:
+            for _, state, diff in run_windows(records, mode, t_origin, cfg):
+                store.put(state)
+                final = state
+                audit.write(json.dumps({**vars(diff), "window": vars(diff.window)}, sort_keys=True))
+                audit.write("\n")
+        os.replace(partial, out_dir / "differentials.jsonl")
+    finally:
+        partial.unlink(missing_ok=True)
 
     ranking = sorted(final.values.items(), key=lambda kv: (-kv[1], kv[0]))
     sys.stdout.write("".join(f"{pid},{value!r}\n" for pid, value in ranking))
@@ -96,14 +105,9 @@ def _parse_faulty_spec(spec: str, ids: list[str]) -> dict[str, str]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_consensus_config(args.config) if args.config else ConsensusConfig()
-    if args.min_identical is not None:
-        cfg.min_identical = args.min_identical
-    if args.max_nonidentical is not None:
-        cfg.max_nonidentical = args.max_nonidentical
-    if args.timeout is not None:
-        cfg.timeout = args.timeout
-    if args.por:
-        cfg.por_weighted = True
+    flags = {"min_identical": args.min_identical, "max_nonidentical": args.max_nonidentical,
+             "timeout": args.timeout, "por_weighted": True if args.por else None}
+    cfg = replace(cfg, **{name: v for name, v in flags.items() if v is not None})
     network = consensus.NetworkModel(
         delay_min=args.delay_min, delay_max=args.delay_max, drop_rate=args.drop_rate,
     )

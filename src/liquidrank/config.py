@@ -4,14 +4,16 @@ Config files are plain text, one ``key = value`` per line, ``#`` comments
 and blank lines allowed.  Keys mirror the field names of the config
 dataclasses; map-valued fields use dotted keys (``aspect_weight.speed``,
 ``agency_reputation.a01``).  Unknown keys are errors.  Both file kinds go
-through one parser, and each loaded config is validated once, on load.
+through one parser, and a config is checked once, when it is built.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import MappingProxyType
 
 from .errors import ConfigError
 from .model import decode_input
@@ -23,7 +25,7 @@ def check_reputation(name: str, value: float) -> None:
         raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineConfig:
     """Knobs of the reputation computation.
 
@@ -36,7 +38,7 @@ class EngineConfig:
     """
 
     default_reputation: float = 0.5
-    aspect_weights: dict[str, float] = field(default_factory=dict)
+    aspect_weights: Mapping[str, float] = field(default_factory=dict)
     default_aspect_weight: float = 1.0
     blend_stake: float = 1.0
     blend_transaction: float = 1.0
@@ -46,7 +48,8 @@ class EngineConfig:
     decay_past: float = 1.0
     rater_weight_floor: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "aspect_weights", MappingProxyType(dict(self.aspect_weights)))
         check_reputation("default_reputation", self.default_reputation)
         for name in ("blend_stake", "blend_transaction", "decay_recent",
                      "decay_past", "rater_weight_floor", "default_aspect_weight"):
@@ -68,7 +71,7 @@ class EngineConfig:
                 raise ConfigError(f"aspect weight for {aspect!r} must be positive, got {weight}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConsensusConfig:
     """Protocol thresholds.
 
@@ -77,17 +80,19 @@ class ConsensusConfig:
     ``por_weighted`` they are thresholds on sums of the sender reputations
     from ``agency_reputations`` (unknown senders weigh 1.0).  The node
     tests the cap only while every digest is below ``min_identical``, so
-    today it never resolves a cycle (ROADMAP item 8).  ``timeout`` is
-    measured in ticks since a node's first receipt of the cycle.
+    today it never resolves a cycle.  ``timeout`` is measured in ticks
+    since a node's first receipt of the cycle.
     """
 
     min_identical: float = 2
     max_nonidentical: float = 4
     timeout: int = 10
     por_weighted: bool = False
-    agency_reputations: dict[str, float] = field(default_factory=dict)
+    agency_reputations: Mapping[str, float] = field(default_factory=dict)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        reputations = MappingProxyType(dict(self.agency_reputations))
+        object.__setattr__(self, "agency_reputations", reputations)
         for name in ("min_identical", "max_nonidentical"):
             v = getattr(self, name)
             if not math.isfinite(v):
@@ -152,32 +157,32 @@ def _convert(key: str, raw: str, annotation: str):
         raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
 
 
-def _config_from_text(cfg, text: str, kind: str, maps: dict[str, tuple[str, str]]):
-    """Fill ``cfg`` from flat key=value text, then validate it.
+def _config_from_text(cls, text: str, kind: str, maps: dict[str, tuple[str, str]]):
+    """Build a ``cls`` from flat key=value text; building it runs its checks.
 
     ``maps`` sends a dotted key prefix to the float map field it fills and
     to the name of what follows the dot, for the error on a bare prefix.
     """
-    scalars = {f.name: f.type for f in fields(cfg) if f.type in _SCALARS}
+    scalars = {f.name: f.type for f in fields(cls) if f.type in _SCALARS}
+    values: dict = {}
     for key, raw in parse_key_values(text).items():
         prefix, dot, entry = key.partition(".")
         if dot and prefix in maps:
             map_field, entry_noun = maps[prefix]
             if not entry:
                 raise ConfigError(f"{prefix}. key is missing the {entry_noun}")
-            getattr(cfg, map_field)[entry] = _convert(key, raw, "float")
+            values.setdefault(map_field, {})[entry] = _convert(key, raw, "float")
         elif key in scalars:
-            setattr(cfg, key, _convert(key, raw, scalars[key]))
+            values[key] = _convert(key, raw, scalars[key])
         else:
             raise ConfigError(f"unknown {kind} config key {key!r}")
-    cfg.validate()
-    return cfg
+    return cls(**values)
 
 
 def engine_config_from_text(text: str) -> EngineConfig:
     """Build a validated :class:`EngineConfig` from flat key=value text."""
     return _config_from_text(
-        EngineConfig(), text, "engine", {"aspect_weight": ("aspect_weights", "aspect name")},
+        EngineConfig, text, "engine", {"aspect_weight": ("aspect_weights", "aspect name")},
     )
 
 
@@ -188,6 +193,6 @@ def load_engine_config(path: str | Path) -> EngineConfig:
 def load_consensus_config(path: str | Path) -> ConsensusConfig:
     """Build a validated :class:`ConsensusConfig` from a key=value file."""
     return _config_from_text(
-        ConsensusConfig(), decode_input(Path(path).read_bytes(), ConfigError), "consensus",
+        ConsensusConfig, decode_input(Path(path).read_bytes(), ConfigError), "consensus",
         {"agency_reputation": ("agency_reputations", "agency id")},
     )

@@ -7,8 +7,8 @@ with earlier ones marks the cycle disputed and raises an alert; and a
 node that cannot decide within the timeout declares the cycle broken and
 requests a system check.  ``receive`` tests the receipt cap only while
 every digest is below ``min_identical``, so today the cap never resolves
-a cycle (ROADMAP item 8).  Receipts may be weighted by the sender
-agency's own reputation; both thresholds are then weight sums.
+a cycle.  Receipts may be weighted by the sender agency's own
+reputation; both thresholds are then weight sums.
 
 The simulator drives a set of nodes over a lossy, delayed network with
 configurable fault models and produces a deterministic event transcript:
@@ -180,7 +180,7 @@ class AgencyNode:
 
         Ties go to the lexicographically smallest digest and are called
         out in the alert.  Never called today: ``receive`` tests the cap
-        only while every digest is below ``min_identical`` (ROADMAP item 8).
+        only while every digest is below ``min_identical``.
         """
         best = max(self._digest_weights.values())
         leaders = sorted(d for d, w in self._digest_weights.items() if w == best)
@@ -348,7 +348,6 @@ def run_simulation(
     if reward_slots < 0:
         raise ConfigError("reward_slots must be non-negative")
     cfg = cfg if cfg is not None else ConsensusConfig()
-    cfg.validate()
     network = network if network is not None else NetworkModel()
     faulty = dict(faulty) if faulty else {}
     ids = agency_ids(n_agencies)

@@ -179,8 +179,7 @@ def blend(
 
     Participants present in only one input map are blended over the
     components they actually have, so a one-sided participant keeps its
-    single differential unscaled.  ``cfg`` must have passed
-    :meth:`EngineConfig.validate`, as :func:`run_windows` ensures.
+    single differential unscaled.
     """
     s, f = cfg.blend_stake, cfg.blend_transaction
     out: dict[ParticipantId, float] = {}
@@ -341,12 +340,10 @@ def run_windows(
 ) -> Iterator[tuple[TimeWindow, ReputationState, DifferentialReputation]]:
     """Partition a log and fold every window through the pipeline.
 
-    The fold starts from an empty state at ``t_origin``.  ``cfg`` is
-    validated here, once for the whole run.
+    The fold starts from an empty state at ``t_origin``.
     """
     from .ingest import partition
 
-    cfg.validate()
     state = ReputationState(at=t_origin, values={})
     for window, chunk in partition(records, mode, t_origin):
         state, diff = run_pipeline(chunk, window, state, cfg)

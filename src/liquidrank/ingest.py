@@ -140,6 +140,25 @@ def _parse_csv(text: str) -> list[RatingRecord]:
     return records
 
 
+def _distinct_fields(pairs: list[tuple[str, object]]) -> dict:
+    """``json.loads`` hook: an object, unless it names a field twice.
+
+    Without it the last of the repeated values would silently win.
+    """
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for name, _ in pairs:
+            if name in seen:
+                raise RecordError(f"repeated field {name!r}")
+            seen.add(name)
+    return obj
+
+
+# One decoder for every line: json.loads with a hook builds a new one per call.
+_decode_json = json.JSONDecoder(object_pairs_hook=_distinct_fields).decode
+
+
 def _parse_jsonl(text: str) -> list[RatingRecord]:
     records = []
     # Lines end at "\n" only: a JSON string may hold U+2028 and other
@@ -150,9 +169,11 @@ def _parse_jsonl(text: str) -> list[RatingRecord]:
         if not raw.strip():
             continue
         try:
-            obj = json.loads(raw)
+            obj = _decode_json(raw)
         except json.JSONDecodeError as exc:
             raise RecordError(f"invalid JSON: {exc.msg}", line_num) from None
+        except RecordError as exc:
+            raise RecordError(str(exc), line_num) from None
         if not isinstance(obj, dict):
             raise RecordError("expected a JSON object", line_num)
         unknown = obj.keys() - _FIELDS.keys()

@@ -219,6 +219,44 @@ def test_compute_overflowing_time_span_exits_1(tmp_path, capsys, stamps, origin,
     assert err.startswith("error: window from t=")
 
 
+def test_failed_compute_rerun_keeps_the_previous_outputs(tmp_path, capsys):
+    log = tmp_path / "ratings.csv"
+    out = tmp_path / "out"
+    _write(log, "a,b,stake,,,1.0,1,,100\nb,a,transaction,,,0.5,1,,200\n")
+    code, _, _ = _run(capsys, "compute", "--log", str(log), "--window", "tx", "--out", str(out))
+    assert code == 0
+    first = _tree_bytes(out)
+    assert len(first) == 3 and first["differentials.jsonl"]
+    # The first window now folds to a different snapshot than the stored one.
+    _write(log, "a,b,stake,,,-1.0,1,,100\nb,a,transaction,,,0.5,1,,200\n")
+    code, stdout, err = _run(capsys, "compute", "--log", str(log), "--window", "tx",
+                             "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert "snapshot at t=100 already exists with different content" in err
+    assert _tree_bytes(out) == first
+
+
+@pytest.mark.parametrize("command, name, text, message", [
+    ("compute", "ratings.jsonl",
+     '{"rater":"a","ratee":"b","kind":"stake","value":1,"value":-1,"timestamp":1}\n',
+     "line 1: repeated field 'value'"),
+    ("compute", "ratings.jsonl",
+     '{"rater":"a","ratee":"b","kind":"stake","value":1,"timestamp":1}\n["a","b"]\n',
+     "line 2: expected a JSON object"),
+    ("stats", "snapshot.csv", "10\na,0.9\nb,zero\n", "line 3: reputation 'zero' is not a number"),
+])
+def test_bad_data_line_exits_1_with_its_line(tmp_path, capsys, command, name, text, message):
+    path = _write(tmp_path / name, text)
+    out = tmp_path / "out"
+    argv = {
+        "compute": ["--log", path, "--window", "tx", "--out", str(out)],
+        "stats": ["--snapshot", path],
+    }[command]
+    code, stdout, err = _run(capsys, command, *argv)
+    assert (code, stdout, err) == (1, "", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_compute_missing_log_exits_1(tmp_path, capsys):
     code, _, err = _run(capsys, "compute", "--log", str(tmp_path / "nope.csv"),
                         "--window", "whole", "--out", str(tmp_path / "out"))
@@ -584,6 +622,85 @@ def test_simulate_negative_count_exits_2(tmp_path, capsys, flag):
     assert err.startswith("error:") and "non-negative" in err
     assert stdout == ""
     assert not out.exists()
+
+
+# -- config checks -----------------------------------------------------------
+
+# Every check a config runs, reached through a config file: the command, the
+# file's text and the whole message the CLI prints.
+_BAD_CONFIGS = [
+    ("compute", "no equals sign\n", "line 1: expected 'key = value', got 'no equals sign'"),
+    ("simulate", "  = 3\n", "line 1: empty key"),
+    ("simulate", "timeout = 3\ntimeout = 4\n", "line 2: duplicate key 'timeout'"),
+    ("compute", "default_reputation = 1.5\n", "default_reputation must lie in [0, 1], got 1.5"),
+    ("compute", "blend_stake = nan\n", "blend_stake must be a finite number, got nan"),
+    ("compute", "decay_past = inf\n", "decay_past must be a finite number, got inf"),
+    ("compute", "blend_transaction = -1\n", "blend weights must be non-negative"),
+    ("compute", "blend_stake = 0\nblend_transaction = 0\n",
+     "blend_stake and blend_transaction must not both be zero"),
+    ("compute", "decay_recent = 0\n", "decay coefficients must be positive"),
+    ("compute", "decay_past = -1\n", "decay coefficients must be positive"),
+    ("compute", "rater_weight_floor = -0.1\n", "rater_weight_floor must be non-negative"),
+    ("compute", "default_aspect_weight = 0\n", "default_aspect_weight must be positive"),
+    ("compute", "aspect_weight.speed = 0\n", "aspect weight for 'speed' must be positive, got 0.0"),
+    ("compute", "aspect_weight.speed = nan\n",
+     "aspect weight for 'speed' must be positive, got nan"),
+    ("simulate", "min_identical = 2.5\n",
+     "min_identical must be an integer without reputation weighting"),
+    ("simulate", "max_nonidentical = 1.5\n",
+     "max_nonidentical must be an integer without reputation weighting"),
+    ("simulate", "por_weighted = true\nmin_identical = 0\n",
+     "min_identical weight threshold must be positive"),
+    ("simulate", "por_weighted = true\nmax_nonidentical = -0.5\n",
+     "max_nonidentical weight threshold must be positive"),
+    ("simulate", "min_identical = 1\n", "min_identical must be at least 2"),
+    ("simulate", "max_nonidentical = 0\n", "max_nonidentical must be at least 1"),
+    ("simulate", "timeout = 0\n", "timeout must be at least 1 tick"),
+    ("simulate", "agency_reputation.a01 = 1.5\n",
+     "agency reputation for 'a01' must lie in [0, 1], got 1.5"),
+]
+
+
+@pytest.mark.parametrize("command, cfg_text, message", _BAD_CONFIGS)
+def test_each_config_check_exits_2_with_its_message(tmp_path, capsys, command, cfg_text,
+                                                     message):
+    cfg = _write(tmp_path / "run.cfg", cfg_text)
+    out = tmp_path / "out"
+    argv = {
+        "compute": ["--log", _write(tmp_path / "ratings.csv", _LOG_3), "--window", "tx"],
+        "simulate": ["--agencies", "5"],
+    }[command]
+    code, stdout, err = _run(capsys, command, *argv, "--config", cfg, "--out", str(out))
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--min-identical", "1"], "min_identical must be at least 2"),
+    (["--min-identical", "2.5"], "min_identical must be an integer without reputation weighting"),
+    (["--max-nonidentical", "0"], "max_nonidentical must be at least 1"),
+    (["--timeout", "0"], "timeout must be at least 1 tick"),
+    (["--por", "--min-identical", "0"], "min_identical weight threshold must be positive"),
+])
+def test_simulate_bad_override_flag_exits_2(tmp_path, capsys, flags, message):
+    out = tmp_path / "sim"
+    code, stdout, err = _run(capsys, "simulate", "--agencies", "5", *flags, "--out", str(out))
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_simulate_flags_override_the_config_file(tmp_path, capsys):
+    cfg = _write(tmp_path / "consensus.cfg", "min_identical = 5\ntimeout = 9\n")
+    flagged = tmp_path / "flagged"
+    code, _, err = _run(capsys, "simulate", "--agencies", "5", "--cycles", "2",
+                        "--config", cfg, "--min-identical", "3", "--timeout", "4",
+                        "--out", str(flagged))
+    assert (code, err) == (0, "")
+    plain = _write(tmp_path / "plain.cfg", "min_identical = 3\ntimeout = 4\n")
+    code, _, _ = _run(capsys, "simulate", "--agencies", "5", "--cycles", "2",
+                      "--config", plain, "--out", str(tmp_path / "plain"))
+    assert code == 0
+    assert _tree_bytes(flagged) == _tree_bytes(tmp_path / "plain")
 
 
 def test_simulate_huge_delay_range_finishes(tmp_path):

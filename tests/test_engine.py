@@ -182,8 +182,8 @@ def test_blend_weighted():
 
 
 def test_blend_rejects_both_weights_zero():
-    cfg = EngineConfig(blend_stake=0.0, blend_transaction=0.0)
     with pytest.raises(ConfigError):
+        cfg = EngineConfig(blend_stake=0.0, blend_transaction=0.0)
         list(run_windows([], WholeHistory(), 0, cfg))
 
 
