@@ -55,16 +55,22 @@ def cmd_compute(args: argparse.Namespace) -> int:
     store = LocalFileStore(out_dir / "snapshots")
     final = ReputationState(at=t_origin, values={})
     # The audit replaces the previous run's only once the whole fold has
-    # succeeded, so a failed rerun leaves that one intact.
+    # succeeded, and a failed run removes the snapshots it wrote, so a failed
+    # run leaves the output files as it found them.
     partial = out_dir / "differentials.jsonl.partial"
+    written = []
     try:
         with open(partial, "w", encoding="utf-8") as audit:
             for _, state, diff in run_windows(records, mode, t_origin, cfg):
-                store.put(state)
+                written.append(store.put(state))
                 final = state
                 audit.write(json.dumps({**vars(diff), "window": vars(diff.window)}, sort_keys=True))
                 audit.write("\n")
         os.replace(partial, out_dir / "differentials.jsonl")
+    except BaseException:
+        for path in filter(None, written):
+            path.unlink()
+        raise
     finally:
         partial.unlink(missing_ok=True)
 

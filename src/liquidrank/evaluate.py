@@ -36,7 +36,7 @@ def pearson(
     series on either side leaves the correlation undefined.
     """
     pairs = []
-    for pid in sorted(reference):
+    for pid in reference:
         if pid in computed.values:
             pairs.append((reference[pid], computed.values[pid]))
         elif include_missing:
@@ -46,6 +46,8 @@ def pearson(
             f"undefined correlation: need at least 2 comparable participants, got {len(pairs)}"
         )
     n = len(pairs)
+    # math.fsum is correctly rounded, so r does not depend on the order of
+    # ``reference`` or of the computed map.
     mean_x = math.fsum(x for x, _ in pairs) / n
     mean_y = math.fsum(y for _, y in pairs) / n
     dx = [x - mean_x for x, _ in pairs]

@@ -150,18 +150,19 @@ class LocalFileStore:
             return None
         return path.read_bytes()
 
-    def put(self, state: ReputationState) -> None:
-        """Append a snapshot.
+    def put(self, state: ReputationState) -> Path | None:
+        """Append a snapshot and return the path of the file it wrote.
 
         Re-putting an identical snapshot at an existing timestamp is a
-        no-op; a different snapshot at an existing timestamp is a conflict;
-        a timestamp older than the newest stored one is an ordering error.
+        no-op that returns ``None``; a different snapshot at an existing
+        timestamp is a conflict; a timestamp older than the newest stored
+        one is an ordering error.
         """
         data = serialize_state(state, self._rows)
         if self._stamps and state.at <= self._stamps[-1]:
             existing = self._read(state.at)
             if existing == data:
-                return
+                return None
             if existing is not None:
                 raise StoreConflictError(
                     f"snapshot at t={state.at} already exists with different content"
@@ -174,6 +175,7 @@ class LocalFileStore:
         tmp.write_bytes(data)
         os.replace(tmp, path)
         self._stamps.append(state.at)
+        return path
 
     def get(self, at: int) -> ReputationState:
         data = self._read(at)

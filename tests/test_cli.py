@@ -236,6 +236,37 @@ def test_failed_compute_rerun_keeps_the_previous_outputs(tmp_path, capsys):
     assert _tree_bytes(out) == first
 
 
+def _overflowing_rows(at):
+    # three ratings of 1.7e308 overflow the weighted mean of their window
+    return "".join(f"{rater},c,transaction,,,1,1.7e308,,{at}\n" for rater in "abd")
+
+
+def test_failed_compute_leaves_no_snapshot_and_no_audit(tmp_path, capsys):
+    log = _write(tmp_path / "ratings.csv", "x,y,transaction,,,0.5,1,,0\n" + _overflowing_rows(1))
+    out = tmp_path / "out"
+    code, stdout, err = _run(capsys, "compute", "--log", log, "--window", "tx", "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert "ratee 'c': weighted mean overflows in the window from t=0" in err
+    assert _tree_bytes(out) == {}
+
+
+def test_failed_compute_rerun_removes_the_snapshots_it_wrote(tmp_path, capsys):
+    good = "x,y,transaction,,,0.5,1,,0\nx,z,transaction,,,0.5,1,,1\n"
+    log = tmp_path / "ratings.csv"
+    out = tmp_path / "out"
+    _write(log, good)
+    code, _, _ = _run(capsys, "compute", "--log", str(log), "--window", "tx", "--out", str(out))
+    assert code == 0
+    first = _tree_bytes(out)
+    assert len(first) == 3
+    _write(log, good + "p,q,transaction,,,0.5,1,,2\n" + _overflowing_rows(3))
+    code, stdout, err = _run(capsys, "compute", "--log", str(log), "--window", "tx",
+                             "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert "weighted mean overflows" in err
+    assert _tree_bytes(out) == first
+
+
 @pytest.mark.parametrize("command, name, text, message", [
     ("compute", "ratings.jsonl",
      '{"rater":"a","ratee":"b","kind":"stake","value":1,"value":-1,"timestamp":1}\n',

@@ -92,7 +92,7 @@ def _assert_other_cycle_dropped(other):
     return node
 
 
-def test_later_cycle_buffered_until_advance():
+def test_later_cycle_dropped_without_buffer():
     # nodes keep no buffer: a later-cycle receipt is dropped, not held for
     # replay, so the node holds no state for it afterwards
     node = _assert_other_cycle_dropped(4)
@@ -497,6 +497,12 @@ def test_receipts_come_in_send_order_and_disputes_follow_digest_counts():
                     assert (ev.decision.outcome is Outcome.ACCEPTED_WITH_DISPUTE) == (
                         len(digests) >= 2
                     ), (ev, digests)
+
+
+def test_summary_counts_a_silent_agency_undecided():
+    result = run_simulation(1, faulty={"a00": SILENT}, cycles=2)
+    assert result.events == []
+    assert [row["outcomes"]["undecided"] for row in summarize(result)["per_cycle"]] == [1, 1]
 
 
 def test_summary_shape_and_counts():

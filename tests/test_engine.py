@@ -280,6 +280,13 @@ def test_update_state_decay_shifts_weighting():
     assert new.values["i"] == pytest.approx(0.4, rel=1e-15)
 
 
+def test_update_state_zero_length_window_keeps_prior_values():
+    # no recent weight: the general formula would give "i" 0.10000000000000002
+    window = TimeWindow(t_origin=0, t_prev=3, t_now=3)
+    new = update_state(_state({"i": 0.1}, at=3), {"i": 0.9, "n": 0.9}, window, EngineConfig())
+    assert new.values == {"i": 0.1, "n": 0.5}
+
+
 # --- faceted_differentials -----------------------------------------------
 
 def test_faceted_single_record_everywhere_unit():

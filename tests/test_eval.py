@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from scipy import stats
 
 from liquidrank.errors import CorrelationUndefinedError, RecordError
 from liquidrank.evaluate import (
@@ -21,6 +21,18 @@ from liquidrank.model import ReputationState
 
 def _state(values, at=0):
     return ReputationState(at=at, values=values)
+
+
+def _exact_pearson(xs, ys):
+    """Pearson's r from exact rational sums, rounded once at the end."""
+    xs = [Fraction(x) for x in xs]
+    ys = [Fraction(y) for y in ys]
+    mean_x = sum(xs) / len(xs)
+    mean_y = sum(ys) / len(ys)
+    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    sxx = sum((x - mean_x) ** 2 for x in xs)
+    syy = sum((y - mean_y) ** 2 for y in ys)
+    return float(sxy) / math.sqrt(float(sxx * syy))
 
 
 # --- pearson -----------------------------------------------------------------
@@ -41,11 +53,11 @@ def test_four_point_hand_case():
     got = pearson(reference, computed)
     # 0.5 / sqrt(1.0 * 0.29), by the centered-sums formula
     assert got == pytest.approx(0.5 / math.sqrt(0.29), rel=1e-12)
-    want, _ = stats.pearsonr([1.0, 1.0, 0.0, 0.0], [0.8, 0.6, 0.3, 0.1])
+    want = _exact_pearson([1.0, 1.0, 0.0, 0.0], [0.8, 0.6, 0.3, 0.1])
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_matches_scipy_on_random_inputs():
+def test_matches_exact_arithmetic_on_random_inputs():
     rng = random.Random(23)
     for _ in range(100):
         n = rng.randint(3, 20)
@@ -55,11 +67,26 @@ def test_matches_scipy_on_random_inputs():
         if len(set(ref_series)) < 2:
             continue
         got = pearson(reference, _state(computed))
-        want, _ = stats.pearsonr(
+        want = _exact_pearson(
             [reference[p] for p in sorted(reference)],
             [computed[p] for p in sorted(computed)],
         )
-        assert got == pytest.approx(float(want), rel=1e-10, abs=1e-12)
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+def test_result_does_not_depend_on_insertion_order():
+    rng = random.Random(26)
+    for _ in range(50):
+        n = rng.randint(3, 40)
+        reference = {f"p{i}": float(i % 2) for i in range(n)}
+        computed = {f"p{i}": rng.random() for i in range(n)}
+        got = pearson(reference, _state(computed))
+        ids = list(reference)
+        rng.shuffle(ids)
+        shuffled_reference = {p: reference[p] for p in ids}
+        rng.shuffle(ids)
+        shuffled_computed = {p: computed[p] for p in ids}
+        assert pearson(shuffled_reference, _state(shuffled_computed)) == got
 
 
 def test_affine_invariance_of_computed_series():

@@ -18,7 +18,7 @@ from liquidrank.ingest import (
     partition,
     window_mode_from_spec,
 )
-from liquidrank.model import Kind, RatingRecord
+from liquidrank.model import Kind, RatingRecord, TimeWindow
 
 
 def _rec(rater, ratee, t, kind=Kind.TRANSACTION, value=0.5):
@@ -305,6 +305,21 @@ def test_periodic_boundary_record_goes_to_later_window():
 def test_partition_rejects_records_before_origin():
     with pytest.raises(RecordError):
         partition([_rec("a", "b", 5)], WholeHistory(), 10)
+
+
+def test_partition_rejects_an_unknown_window_mode():
+    with pytest.raises(ConfigError, match="unknown window mode"):
+        partition([_rec("a", "b", 0, kind=Kind.STAKE)], object(), 0)
+
+
+def test_record_rejects_a_kind_given_as_text():
+    with pytest.raises(RecordError, match="unknown rating kind 'stake'"):
+        RatingRecord("a", "b", "stake", 0.5)
+
+
+def test_window_rejects_bounds_out_of_order():
+    with pytest.raises(ValueError, match="t_origin <= t_prev <= t_now"):
+        TimeWindow(5, 3, 10)
 
 
 def test_partition_empty_log():
