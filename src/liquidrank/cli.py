@@ -62,7 +62,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     try:
         with open(partial, "w", encoding="utf-8") as audit:
             for _, state, diff in run_windows(records, mode, t_origin, cfg):
-                written.append(store.put(state))
+                written.append(store.put(state, diff.normalized))
                 final = state
                 audit.write(json.dumps({**vars(diff), "window": vars(diff.window)}, sort_keys=True))
                 audit.write("\n")

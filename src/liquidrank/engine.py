@@ -10,16 +10,19 @@ blended, optionally log-compressed to blunt winner-takes-all dynamics,
 normalized to unit maximum magnitude across the window, and merged into
 the prior state proportionally to elapsed time.
 
-Per-window maps and the running state keep their participants in
-first-seen order, which is deterministic for a given log.  The canonical
-byte order of a snapshot is fixed by ``store.serialize_state`` alone, so a
-given log and config still produce byte-identical serialized states on
-every run.
+``run_pipeline`` folds a window's records in ratee order: a stable sort
+keeps each ratee's records in their log order, so every sum is the same
+as in log order, and every per-window map comes out in ratee order, the
+order the snapshot rows and the sorted audit keys use.  The running state
+keeps its participants in first-seen order.  The canonical byte order of
+a snapshot is fixed by ``store.serialize_state`` alone, so a given log and
+config produce byte-identical serialized states on every run.
 """
 
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .config import EngineConfig
@@ -35,6 +38,7 @@ from .model import (
 )
 
 GroupKey = TypeVar("GroupKey")
+_BY_RATEE = attrgetter("ratee")
 
 
 def normalize_financial(weights: list[float]) -> list[float]:
@@ -54,10 +58,6 @@ def normalize_financial(weights: list[float]) -> list[float]:
     if peak == 0.0:
         return logs
     return [v / peak for v in logs]
-
-
-def _rater_weight(rater: ParticipantId, prev: ReputationState, cfg: EngineConfig) -> float:
-    return max(prev.values.get(rater, cfg.default_reputation), cfg.rater_weight_floor)
 
 
 def _aspect_weight(aspect: str | None, cfg: EngineConfig) -> float:
@@ -88,41 +88,48 @@ def _weighted_means(
     weight of each record.  Records whose backing (weight times rater
     reputation) is zero are skipped outright: they would contribute nothing
     to the sums, and skipping them also keeps a zero-reputation rater from
-    widening the aspect-weight sum.  Aspects are summed in sorted order,
-    which fixes the floating-point result.  A group whose backing total or
-    mean overflows is a record error: its value would be meaningless.
+    widening the aspect-weight sum.  One pass over the records sums each
+    group in record order, and groups come out in the order of their first
+    backed record.  Aspects are summed in sorted order, which fixes the
+    floating-point result.  A group whose backing total or mean overflows
+    is a record error: its value would be meaningless.
     """
-    groups: dict[GroupKey, list[int]] = {}
-    for idx, rec in enumerate(records):
-        groups.setdefault(group_key(rec), []).append(idx)
+    reputation = prev.values.get
+    default = cfg.default_reputation
+    floor = cfg.rater_weight_floor
+    totals: dict[GroupKey, float] = {}
+    sums: dict[GroupKey, dict[str | None, float]] = {}  # per group, per aspect
+    for rec, weight in zip(records, weights):
+        rep = reputation(rec.rater, default)
+        backing = weight * (floor if floor > rep else rep)
+        if backing == 0.0:
+            continue
+        key = group_key(rec)
+        by_aspect = sums.get(key)
+        if by_aspect is None:
+            sums[key] = by_aspect = {}
+            totals[key] = 0.0
+        aspect = rec.aspect
+        by_aspect[aspect] = by_aspect.get(aspect, 0.0) + rec.value * backing
+        totals[key] += backing
 
     out: dict[GroupKey, float] = {}
-    for gkey, idxs in groups.items():
-        value_sums: dict[str | None, float] = {}
-        backing_total = 0.0
-        for idx in idxs:
-            rec = records[idx]
-            backing = weights[idx] * _rater_weight(rec.rater, prev, cfg)
-            if backing == 0.0:
-                continue
-            value_sums[rec.aspect] = value_sums.get(rec.aspect, 0.0) + rec.value * backing
-            backing_total += backing
-        if backing_total == 0.0:
-            continue
+    for key, by_aspect in sums.items():
         numerator = 0.0
         aspect_total = 0.0
-        for aspect in sorted(value_sums, key=_option_key):
+        aspects = by_aspect if len(by_aspect) == 1 else sorted(by_aspect, key=_option_key)
+        for aspect in aspects:
             h = _aspect_weight(aspect, cfg) if aspect_weighted else 1.0
-            numerator += h * value_sums[aspect]
+            numerator += h * by_aspect[aspect]
             aspect_total += h
-        denominator = backing_total * aspect_total if aspect_weighted else backing_total
+        denominator = totals[key] * aspect_total if aspect_weighted else totals[key]
         mean = numerator / denominator
         if not (math.isfinite(denominator) and math.isfinite(mean)):
+            ratee = next(rec.ratee for rec in records if group_key(rec) == key)
             raise RecordError(
-                f"ratee {records[idxs[0]].ratee!r}: weighted mean overflows "
-                f"in the window from t={prev.at}"
+                f"ratee {ratee!r}: weighted mean overflows in the window from t={prev.at}"
             )
-        out[gkey] = mean
+        out[key] = mean
     return out
 
 
@@ -145,7 +152,7 @@ def differential_staked(
     _require_kind(records, Kind.STAKE)
     live = [rec for rec in records if rec.value != 0.0]
     weights = [rec.weight for rec in live]
-    return _weighted_means(live, weights, prev, cfg, lambda rec: rec.ratee)
+    return _weighted_means(live, weights, prev, cfg, _BY_RATEE)
 
 
 def _transaction_weights(records: list[RatingRecord], cfg: EngineConfig) -> list[float]:
@@ -167,7 +174,7 @@ def differential_transactional(
     """
     _require_kind(records, Kind.TRANSACTION)
     weights = _transaction_weights(records, cfg)
-    return _weighted_means(records, weights, prev, cfg, lambda rec: rec.ratee)
+    return _weighted_means(records, weights, prev, cfg, _BY_RATEE)
 
 
 def blend(
@@ -175,25 +182,26 @@ def blend(
     transactional: dict[ParticipantId, float],
     cfg: EngineConfig,
 ) -> dict[ParticipantId, float]:
-    """Combine the two differential kinds per participant.
+    """Combine the two differential kinds per participant, in ratee order.
 
     Participants present in only one input map are blended over the
     components they actually have, so a one-sided participant keeps its
-    single differential unscaled.
+    single differential exactly (a -0.0 becomes 0.0), as long as that
+    kind's blend weight is not zero.
     """
     s, f = cfg.blend_stake, cfg.blend_transaction
     out: dict[ParticipantId, float] = {}
-    for pid in {**staked, **transactional}:
-        numerator = 0.0
-        denominator = 0.0
-        if pid in staked:
-            numerator += s * staked[pid]
-            denominator += s
-        if pid in transactional:
-            numerator += f * transactional[pid]
-            denominator += f
-        if denominator > 0.0:
-            out[pid] = numerator / denominator
+    for pid in sorted({**staked, **transactional}):
+        a = staked.get(pid)
+        b = transactional.get(pid)
+        if b is None:
+            if s > 0.0:
+                out[pid] = 0.0 + a
+        elif a is None:
+            if f > 0.0:
+                out[pid] = 0.0 + b
+        else:
+            out[pid] = (0.0 + s * a + f * b) / (s + f)
     return out
 
 
@@ -228,10 +236,11 @@ def update_state(
     proportional to the time spans they cover (prior: t_prev - t_origin,
     window: t_now - t_prev), each scaled by its decay coefficient.  In the
     first window the prior span is zero, so the differential is taken
-    directly.  Participants without a differential keep their value; new
-    participants start from ``cfg.default_reputation``.  Results are
-    clamped to [0, 1] on store; a NaN is a record error, never clamped, and
-    so is a window whose time weights do not fit in a float.
+    directly.  Only ``normalized``'s ids change: participants without a
+    differential keep their value, and new participants start from
+    ``cfg.default_reputation``.  Results are clamped to [0, 1] on store; a
+    NaN is a record error, never clamped, and so is a window whose time
+    weights do not fit in a float.
     """
     if prev.at != window.t_prev:
         raise ValueError(
@@ -247,20 +256,23 @@ def update_state(
             f"window from t={window.t_prev} to t={window.t_now}: "
             f"its time weights overflow (origin t={window.t_origin})"
         )
+    prior = prev.values.get
+    default = cfg.default_reputation
+    w_total = w_past + w_recent
     new_values = dict(prev.values)
     for pid, target in normalized.items():
         if w_past == 0.0:
             merged = target
         elif w_recent == 0.0:
-            merged = prev.values.get(pid, cfg.default_reputation)
+            merged = prior(pid, default)
         else:
-            base = prev.values.get(pid, cfg.default_reputation)
-            merged = (w_past * base + w_recent * target) / (w_past + w_recent)
+            merged = (w_past * prior(pid, default) + w_recent * target) / w_total
         if math.isnan(merged):
             raise RecordError(
                 f"ratee {pid!r}: reputation is not a number in the window ending at t={window.t_now}"
             )
-        new_values[pid] = min(1.0, max(0.0, merged))
+        # The clamp maps -0.0 to 0.0, and an int 0 or 1 to a float.
+        new_values[pid] = merged if 0.0 < merged < 1.0 else (1.0 if merged > 0.0 else 0.0)
     return ReputationState(at=window.t_now, values=new_values)
 
 
@@ -282,16 +294,16 @@ def faceted_differentials(
     weights = _transaction_weights(records, cfg)
     by_category = _weighted_means(
         records, weights, prev, cfg,
-        lambda rec: (rec.ratee, rec.category),
+        attrgetter("ratee", "category"),
     )
     by_aspect = _weighted_means(
         records, weights, prev, cfg,
-        lambda rec: (rec.ratee, rec.aspect),
+        attrgetter("ratee", "aspect"),
         aspect_weighted=False,
     )
     by_aspect_category = _weighted_means(
         records, weights, prev, cfg,
-        lambda rec: (rec.ratee, rec.aspect, rec.category),
+        attrgetter("ratee", "aspect", "category"),
         aspect_weighted=False,
     )
     return FacetedDifferential(
@@ -310,9 +322,12 @@ def run_pipeline(
 ) -> tuple[ReputationState, DifferentialReputation]:
     """Run the full per-window computation and return the updated state.
 
-    An empty window leaves all values unchanged and only advances the
-    state timestamp.
+    The records are folded in ratee order (see the module docstring), so
+    the result does not depend on how a log interleaves its ratees.  An
+    empty window leaves all values unchanged and only advances the state
+    timestamp.
     """
+    records = sorted(records, key=_BY_RATEE)
     stakes = [rec for rec in records if rec.kind is Kind.STAKE]
     transactions = [rec for rec in records if rec.kind is Kind.TRANSACTION]
     staked = differential_staked(stakes, prev, cfg)

@@ -85,7 +85,7 @@ class Kind(str, enum.Enum):
     TRANSACTION = "transaction"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RatingRecord:
     """One rating event from the input log.
 
@@ -93,29 +93,55 @@ class RatingRecord:
     backing: staked amount for :data:`Kind.STAKE`, transaction value for
     :data:`Kind.TRANSACTION`.  A stake with value 0 is a revoked endorsement
     and contributes nothing to any differential.
+
+    The constructor is written out, not generated, because it runs once per
+    log line: it checks the fields and sets them with one local
+    ``object.__setattr__`` instead of a generated ``__init__`` followed by a
+    ``__post_init__`` call.  ``dataclasses.replace`` goes through it too.
     """
 
     rater: ParticipantId
     ratee: ParticipantId
     kind: Kind
     value: float
-    weight: float = 1.0
-    aspect: str | None = None
-    category: str | None = None
-    event: str | None = None
-    timestamp: int = 0
+    weight: float
+    aspect: str | None
+    category: str | None
+    event: str | None
+    timestamp: int
 
-    def __post_init__(self) -> None:
-        check_participant_id(self.rater, "rater")
-        check_participant_id(self.ratee, "ratee")
-        if self.rater == self.ratee:
-            raise RecordError(f"self-rating by {self.rater!r} is not allowed")
-        if not isinstance(self.kind, Kind):
-            raise RecordError(f"unknown rating kind {self.kind!r}")
-        if not -1.0 <= self.value <= 1.0:
-            raise RecordError(f"rating value {self.value!r} outside [-1, 1]")
-        if not (math.isfinite(self.weight) and self.weight >= 0.0):
-            raise RecordError(f"rating weight {self.weight!r} must be finite and non-negative")
+    def __init__(
+        self,
+        rater: ParticipantId,
+        ratee: ParticipantId,
+        kind: Kind,
+        value: float,
+        weight: float = 1.0,
+        aspect: str | None = None,
+        category: str | None = None,
+        event: str | None = None,
+        timestamp: int = 0,
+    ) -> None:
+        check_participant_id(rater, "rater")
+        check_participant_id(ratee, "ratee")
+        if rater == ratee:
+            raise RecordError(f"self-rating by {rater!r} is not allowed")
+        if not isinstance(kind, Kind):
+            raise RecordError(f"unknown rating kind {kind!r}")
+        if not -1.0 <= value <= 1.0:
+            raise RecordError(f"rating value {value!r} outside [-1, 1]")
+        if not (math.isfinite(weight) and weight >= 0.0):
+            raise RecordError(f"rating weight {weight!r} must be finite and non-negative")
+        set_field = object.__setattr__
+        set_field(self, "rater", rater)
+        set_field(self, "ratee", ratee)
+        set_field(self, "kind", kind)
+        set_field(self, "value", value)
+        set_field(self, "weight", weight)
+        set_field(self, "aspect", aspect)
+        set_field(self, "category", category)
+        set_field(self, "event", event)
+        set_field(self, "timestamp", timestamp)
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,17 @@ are computed over exactly these bytes.
 by the zero-padded timestamp.  It indexes its timestamps once, when it
 opens, and appends each new timestamp on put.
 
-The store also keeps one :class:`RowCache`, so a put re-renders only the
-rows that changed since the previous one.  The cache holds, per
-participant, the value object it last rendered and that row's text, plus
-the sorted id order.  A row is rendered again only when the state's value
-``is not`` the cached object: the engine copies the prior map on every
-window, so untouched participants keep the very same float, and because
-the cache holds a reference to it, that object cannot be freed and its id
-reused by another value.  New ids are merged into the kept order; a
-removed id rebuilds the cache from scratch.  Without a cache
-``serialize_state`` renders every row, so the bytes never depend on it.
+The store also keeps one :class:`RowCache`, so a put can re-render only
+the rows that changed since the previous one.  ``put(state, touched)``
+takes the ids whose value may differ from the state it last put: the
+engine passes a window's ``normalized`` map, which holds exactly the ids
+``engine.update_state`` writes.  Every other id must keep its row.  New
+ids are merged into the kept order, and a count check (kept ids plus new
+ids must equal the state's size) falls back to rendering every row when
+an id has gone or the cache is behind.  A put that raises clears the
+cache, so the state it rejected never serves as the base of the next one.
+Without a touched set, or without a cache, ``serialize_state`` renders
+every row, so the bytes never depend on the cache.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import os
 from pathlib import Path
+from typing import Iterable
 
 from .errors import (
     RecordError,
@@ -41,41 +43,46 @@ from .model import ParticipantId, ReputationState, check_participant_id, decode_
 
 
 class RowCache:
-    """Snapshot rows last rendered by :func:`serialize_state`, for reuse."""
+    """Snapshot rows last rendered by :func:`serialize_state`, for reuse.
 
-    __slots__ = ("values", "rows", "order")
+    The rows are those of the last state serialized with this cache; a call
+    with a touched set trusts every other row to be unchanged since then.
+    """
+
+    __slots__ = ("rows", "order")
 
     def __init__(self) -> None:
-        self.values: dict[ParticipantId, float] = {}  # the object each row rendered
         self.rows: dict[ParticipantId, str] = {}  # "pid,value\n"
         self.order: list[ParticipantId] = []  # sorted ids
 
     def clear(self) -> None:
-        self.values.clear()
         self.rows.clear()
         self.order.clear()
 
 
-def serialize_state(state: ReputationState, cache: RowCache | None = None) -> bytes:
+def serialize_state(
+    state: ReputationState,
+    cache: RowCache | None = None,
+    touched: Iterable[ParticipantId] | None = None,
+) -> bytes:
     """Canonical snapshot bytes of ``state``.
 
-    ``cache`` carries rows over from the previous call made with it; only
-    rows whose value is not the very object rendered then are formatted.
+    ``cache`` carries rows over from the previous call made with it.  With
+    ``touched``, only those ids are rendered again: every other id of
+    ``state`` must have the value it had in that previous call.  Without it
+    every row is rendered.
     """
     if cache is None:
         cache = RowCache()
     values = state.values
-    seen = cache.values
-    stale = [pid for pid, v in values.items() if seen.get(pid) is not v]
-    new = [pid for pid in stale if pid not in seen]
-    if len(seen) + len(new) != len(values):  # some cached id is gone
+    rows = cache.rows
+    stale = list(values if touched is None else touched)
+    new = [pid for pid in stale if pid not in rows]
+    if len(rows) + len(new) != len(values):  # an id has gone, or an untouched one is missing
         cache.clear()
         stale = new = list(values)
-    rows = cache.rows
     for pid in stale:
-        v = values[pid]
-        seen[pid] = v
-        rows[pid] = f"{pid},{v!r}\n"
+        rows[pid] = f"{pid},{values[pid]!r}\n"
     if new:
         cache.order.extend(new)
         cache.order.sort()  # the kept ids are one sorted run
@@ -150,30 +157,39 @@ class LocalFileStore:
             return None
         return path.read_bytes()
 
-    def put(self, state: ReputationState) -> Path | None:
+    def put(
+        self, state: ReputationState, touched: Iterable[ParticipantId] | None = None,
+    ) -> Path | None:
         """Append a snapshot and return the path of the file it wrote.
 
-        Re-putting an identical snapshot at an existing timestamp is a
-        no-op that returns ``None``; a different snapshot at an existing
-        timestamp is a conflict; a timestamp older than the newest stored
-        one is an ordering error.
+        ``touched`` names the ids whose value may have changed since the
+        previous put (see :func:`serialize_state`); ``None`` re-renders
+        every row.  Re-putting an identical snapshot at an existing
+        timestamp is a no-op that returns ``None``; a different snapshot at
+        an existing timestamp is a conflict; a timestamp older than the
+        newest stored one is an ordering error.
         """
-        data = serialize_state(state, self._rows)
-        if self._stamps and state.at <= self._stamps[-1]:
-            existing = self._read(state.at)
-            if existing == data:
-                return None
-            if existing is not None:
-                raise StoreConflictError(
-                    f"snapshot at t={state.at} already exists with different content"
+        try:
+            data = serialize_state(state, self._rows, touched)
+            if self._stamps and state.at <= self._stamps[-1]:
+                existing = self._read(state.at)
+                if existing == data:
+                    return None
+                if existing is not None:
+                    raise StoreConflictError(
+                        f"snapshot at t={state.at} already exists with different content"
+                    )
+                raise StoreOrderingError(
+                    f"snapshot at t={state.at} is older than the newest stored "
+                    f"t={self._stamps[-1]}"
                 )
-            raise StoreOrderingError(
-                f"snapshot at t={state.at} is older than the newest stored t={self._stamps[-1]}"
-            )
-        path = self._path(state.at)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
+            path = self._path(state.at)
+            tmp = path.with_suffix(".tmp")
+            tmp.write_bytes(data)
+            os.replace(tmp, path)
+        except BaseException:
+            self._rows.clear()
+            raise
         self._stamps.append(state.at)
         return path
 

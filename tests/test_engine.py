@@ -175,6 +175,17 @@ def test_blend_one_sided_participant_not_halved():
     assert got == {"i": 0.4}
 
 
+def test_blend_one_sided_participant_keeps_its_differential_exactly():
+    # f * t / f is 0.9000000000000001 here
+    got = blend({}, {"i": 0.9}, EngineConfig(blend_transaction=0.3))
+    assert got == {"i": 0.9}
+    got = blend({"i": 0.9, "j": -0.0}, {}, EngineConfig(blend_stake=0.3))
+    assert got == {"i": 0.9, "j": 0.0}
+    assert math.copysign(1.0, got["j"]) == 1.0
+    # a kind weighted zero drops the participants that have only that kind
+    assert blend({"i": 0.9}, {"j": 0.5}, EngineConfig(blend_stake=0.0)) == {"j": 0.5}
+
+
 def test_blend_weighted():
     cfg = EngineConfig(blend_stake=3.0, blend_transaction=1.0)
     got = blend({"i": 1.0}, {"i": 0.0}, cfg)

@@ -6,6 +6,7 @@ here the loops are kept smaller so the unit run stays fast.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import replace
@@ -19,6 +20,7 @@ from liquidrank.engine import (
     faceted_differentials,
     log_differential,
     normalize_window,
+    run_pipeline,
     update_state,
 )
 from liquidrank.model import Kind, RatingRecord, ReputationState, TimeWindow
@@ -261,3 +263,48 @@ def test_transactional_log_flag_preserves_value_order_per_single_rating():
             if seen[rec.ratee] > 1 or rec.ratee not in out:
                 continue
             assert math.isclose(out[rec.ratee], rec.value, rel_tol=1e-12, abs_tol=1e-15)
+
+
+def _interleave(rng, records):
+    """``records`` shuffled across ratees, each ratee's records in their order."""
+    queues: dict[str, list[RatingRecord]] = {}
+    for rec in records:
+        queues.setdefault(rec.ratee, []).append(rec)
+    for queue in queues.values():
+        queue.reverse()
+    out = []
+    while queues:
+        ratee = rng.choice(sorted(queues))
+        out.append(queues[ratee].pop())
+        if not queues[ratee]:
+            del queues[ratee]
+    return out
+
+
+def _bits(state, diff):
+    audit = json.dumps({**vars(diff), "window": vars(diff.window)}, sort_keys=True)
+    return [(pid, v.hex()) for pid, v in state.values.items()], audit
+
+
+def test_pipeline_does_not_depend_on_how_ratees_interleave():
+    # The pipeline folds in ratee order; that must change no bit of its result.
+    rng = random.Random(18)
+    window = TimeWindow(t_origin=0, t_prev=40, t_now=100)
+    for _ in range(300):
+        records, prev, cfg = random_instance(rng)
+        cfg = replace(
+            cfg,
+            use_log_differential=rng.random() < 0.5,
+            blend_stake=rng.choice([1.0, 0.3, 0.0]),
+            blend_transaction=rng.choice([1.0, 0.7]),
+        )
+        prev = ReputationState(at=40, values=prev.values)
+        state, diff = run_pipeline(records, window, prev, cfg)
+        # every sum is the one a fold in log order makes
+        for kind, got in ((Kind.STAKE, diff.staked), (Kind.TRANSACTION, diff.transactional)):
+            fold = differential_staked if kind is Kind.STAKE else differential_transactional
+            want = fold([rec for rec in records if rec.kind is kind], prev, cfg)
+            assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+        want = _bits(state, diff)
+        for _ in range(2):
+            assert _bits(*run_pipeline(_interleave(rng, records), window, prev, cfg)) == want

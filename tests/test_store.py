@@ -6,13 +6,16 @@ import random
 
 import pytest
 
+from liquidrank.config import EngineConfig
+from liquidrank.engine import run_windows
 from liquidrank.errors import (
     RecordError,
     SnapshotNotFoundError,
     StoreConflictError,
     StoreOrderingError,
 )
-from liquidrank.model import ReputationState
+from liquidrank.ingest import PerBlock, Periodic, PerTransaction, WholeHistory
+from liquidrank.model import Kind, RatingRecord, ReputationState
 from liquidrank.store import (
     LocalFileStore,
     deserialize_state,
@@ -253,3 +256,108 @@ def test_row_cache_matches_fresh_encoding(tmp_path):
         assert store._read(at) == stored[at]
     for stamp, data in stored.items():
         assert store._read(stamp) == data
+
+
+# --- the touched set the engine hands to put -------------------------------
+
+_IDS = [f"p{i}" for i in range(12)] + ["é", "\U0001f600x", "z\uffff", "b\u2028"]
+_MODES = {"whole": WholeHistory(), "tx": PerTransaction(), "block": PerBlock(5),
+          "period": Periodic(9)}
+_CONFIGS = {
+    "default": EngineConfig(),
+    "log-aspect": EngineConfig(
+        use_log_financial=True, use_log_differential=True,
+        aspect_weights={"q": 2.0, "s": 0.25}, blend_stake=0.2, blend_transaction=0.8,
+    ),
+}
+
+
+def _mixed_log(rng):
+    records = []
+    for _ in range(rng.randint(20, 120)):
+        rater, ratee = rng.sample(_IDS, 2)
+        records.append(RatingRecord(
+            rater, ratee, rng.choice(list(Kind)),
+            rng.choice([rng.uniform(-1.0, 1.0), 0.0, -0.0, 1.0, -1.0]),
+            rng.choice([1.0, 0.0, rng.uniform(0.0, 50.0)]),
+            aspect=rng.choice([None, "q", "s"]),
+            category=rng.choice([None, "food"]),
+            timestamp=rng.randint(0, 80),
+        ))
+    return records
+
+
+def _stale_windows(root, records, mode, cfg, touched=dict.keys):
+    """Fold into a new store, putting each state with ``touched(diff.normalized)``.
+
+    Returns the windows whose written file differs from a fresh encoding.
+    """
+    store = LocalFileStore(root)
+    stale = []
+    for window, state, diff in run_windows(records, mode, 0, cfg):
+        path = store.put(state, touched(diff.normalized))
+        if path.read_bytes() != serialize_state(state):
+            stale.append(window)
+    return stale
+
+
+@pytest.mark.parametrize("cfg", list(_CONFIGS.values()), ids=list(_CONFIGS))
+@pytest.mark.parametrize("mode", list(_MODES.values()), ids=list(_MODES))
+def test_touched_put_matches_fresh_encoding(tmp_path, mode, cfg):
+    rng = random.Random(31)
+    for n in range(15):
+        assert _stale_windows(tmp_path / str(n), _mixed_log(rng), mode, cfg) == []
+
+
+@pytest.mark.parametrize("mode", [_MODES["tx"], _MODES["block"], _MODES["period"]],
+                         ids=["tx", "block", "period"])
+def test_touched_check_sees_a_dropped_id(tmp_path, mode):
+    # Leaving out one touched id leaves its old row in place, and the check
+    # above must see that.  (A new id left out only costs a full render.)
+    rng = random.Random(32)
+    stale = 0
+    for n in range(15):
+        records = _mixed_log(rng)
+        stale += len(_stale_windows(
+            tmp_path / str(n), records, mode, _CONFIGS["default"],
+            touched=lambda normalized: list(normalized)[1:],
+        ))
+    assert stale > 0
+
+
+def test_put_after_a_rejected_put_renders_every_row(tmp_path):
+    store = LocalFileStore(tmp_path / "snaps")
+    store.put(_state(10, {"a": 0.5, "b": 0.5}))
+    with pytest.raises(StoreConflictError):
+        store.put(_state(10, {"a": 0.5, "b": 0.75}), ["b"])
+    assert store.put(_state(20, {"a": 0.5, "b": 0.5, "c": 1.0}), ["c"]).read_bytes() == (
+        b"20\na,0.5\nb,0.5\nc,1.0\n"
+    )
+    with pytest.raises(StoreOrderingError):
+        store.put(_state(5, {"a": 0.25, "b": 0.5, "c": 1.0}), ["a"])
+    assert store.put(_state(30, {"a": 0.5, "b": 0.5, "c": 1.0, "d": 0.0}), ["d"]).read_bytes() == (
+        b"30\na,0.5\nb,0.5\nc,1.0\nd,0.0\n"
+    )
+
+
+@pytest.mark.parametrize("mode", [_MODES["tx"], _MODES["period"]], ids=["tx", "period"])
+def test_touched_put_after_rejected_puts_matches_fresh_encoding(tmp_path, mode):
+    rng = random.Random(33)
+    for n in range(20):
+        store = LocalFileStore(tmp_path / str(n))
+        prev = None
+        for _, state, diff in run_windows(_mixed_log(rng), mode, 0, _CONFIGS["log-aspect"]):
+            if prev is not None and prev.values and rng.random() < 0.4:
+                # the stored state with one value changed, at its own time (a
+                # conflict) or before every stored one (an ordering error)
+                pid = rng.choice(sorted(prev.values))
+                bad = {**prev.values, pid: 0.25 if prev.values[pid] != 0.25 else 0.75}
+                if rng.random() < 0.5:
+                    with pytest.raises(StoreConflictError):
+                        store.put(_state(prev.at, bad), [pid])
+                else:
+                    with pytest.raises(StoreOrderingError):
+                        store.put(_state(-1, bad), [pid])
+            path = store.put(state, diff.normalized)
+            assert path.read_bytes() == serialize_state(state)
+            prev = state
