@@ -179,15 +179,12 @@ def _config_from_text(cls, text: str, kind: str, maps: dict[str, tuple[str, str]
     return cls(**values)
 
 
-def engine_config_from_text(text: str) -> EngineConfig:
-    """Build a validated :class:`EngineConfig` from flat key=value text."""
-    return _config_from_text(
-        EngineConfig, text, "engine", {"aspect_weight": ("aspect_weights", "aspect name")},
-    )
-
-
 def load_engine_config(path: str | Path) -> EngineConfig:
-    return engine_config_from_text(decode_input(Path(path).read_bytes(), ConfigError))
+    """Build a validated :class:`EngineConfig` from a key=value file."""
+    return _config_from_text(
+        EngineConfig, decode_input(Path(path).read_bytes(), ConfigError), "engine",
+        {"aspect_weight": ("aspect_weights", "aspect name")},
+    )
 
 
 def load_consensus_config(path: str | Path) -> ConsensusConfig:

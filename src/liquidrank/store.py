@@ -11,7 +11,8 @@ are computed over exactly these bytes.
 
 ``LocalFileStore`` writes one file per snapshot into a directory, named
 by the zero-padded timestamp.  It indexes its timestamps once, when it
-opens, and appends each new timestamp on put.
+opens, from the files named that way, and appends each new timestamp on
+put.
 
 The store also keeps one :class:`RowCache`, so a put can re-render only
 the rows that changed since the previous one.  ``put(state, touched)``
@@ -142,9 +143,11 @@ class LocalFileStore:
         stamps = []
         for path in self.root.glob("*.csv"):
             try:
-                stamps.append(int(path.stem))
+                at = int(path.stem)
             except ValueError:
                 continue
+            if path.name == self._path(at).name:  # int() also takes "5", "+5", "5_0"
+                stamps.append(at)
         self._stamps = sorted(stamps)
         self._rows = RowCache()
 
@@ -152,10 +155,10 @@ class LocalFileStore:
         return self.root / f"{at:020d}.csv"
 
     def _read(self, at: int) -> bytes | None:
-        path = self._path(at)
-        if not path.exists():
+        try:
+            return self._path(at).read_bytes()
+        except FileNotFoundError:
             return None
-        return path.read_bytes()
 
     def put(
         self, state: ReputationState, touched: Iterable[ParticipantId] | None = None,

@@ -775,11 +775,26 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
 # -- dependencies ------------------------------------------------------------
 
 
-def test_cli_import_does_not_load_numpy():
+def test_import_surface():
+    # The package root loads no submodule, and the CLI loads nothing from
+    # outside the standard library.
     src = Path(liquidrank.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    subprocess.run(
+    out = subprocess.run(
         [sys.executable, "-c",
-         "import liquidrank.cli, sys; assert 'numpy' not in sys.modules"],
-        env=env, check=True, timeout=60,
-    )
+         "import json, sys\n"
+         "before = set(sys.modules)\n"
+         "import liquidrank\n"
+         "root = set(sys.modules) - before\n"
+         "import liquidrank.cli\n"
+         "print(json.dumps([sorted(root), sorted(set(sys.modules) - before)]))\n"],
+        env=env, check=True, timeout=60, capture_output=True, text=True,
+    ).stdout
+    root, cli = json.loads(out)
+    assert root == ["liquidrank"]
+    assert "liquidrank.cli" in cli
+    foreign = [
+        name for name in cli
+        if name.partition(".")[0] not in sys.stdlib_module_names | {"liquidrank"}
+    ]
+    assert foreign == []
