@@ -131,11 +131,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    consensus.export_transcript(result.events, out_dir / "transcript.jsonl")
-    summary = consensus.summarize(result)
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    # Both files replace the previous run's only once both are complete, so
+    # a failed run leaves the output files as it found them.
+    transcript = out_dir / "transcript.jsonl.partial"
+    summary_file = out_dir / "summary.json.partial"
+    try:
+        consensus.export_transcript(result.events, transcript)
+        summary = consensus.summarize(result)
+        with open(summary_file, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+        os.replace(transcript, out_dir / "transcript.jsonl")
+        os.replace(summary_file, out_dir / "summary.json")
+    finally:
+        transcript.unlink(missing_ok=True)
+        summary_file.unlink(missing_ok=True)
 
     print("cycle accepted disputed broken undecided alerts rewards")
     for row in summary["per_cycle"]:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-import json
 import random
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -340,6 +339,11 @@ def run_simulation(
     send order), and all randomness comes from ``seed``.  Only
     ticks that hold a delivery or a node's timeout deadline are visited,
     so the cost follows the messages, not the width of the delay range.
+    At each, an undecided receiver gets ``receive`` (a decided one
+    ignores receipts, so it gets no call), and then ``tick`` goes, in
+    agency-id order, only to the nodes whose deadline falls on it: a
+    node with no receipt never times out and one with a later deadline
+    cannot time out yet.
     """
     if n_agencies < 1:
         raise ConfigError("need at least one agency")
@@ -416,22 +420,32 @@ def run_simulation(
                 deliveries.setdefault(at, []).append((receiver, msg))
 
         # Only ticks holding a delivery or a deadline are visited, each once
-        # (a new deadline lies after ``now``): deliveries, then tick() by id.
+        # (a deadline lies after the receipt that starts its clock):
+        # deliveries, then tick() by id on the nodes whose deadline it is.
         pending = sorted(deliveries)
+        due: dict[int, list[AgencyId]] = {}
+        started: set[AgencyId] = set()
         while pending:
             now = heapq.heappop(pending)
-            for receiver, msg in deliveries.pop(now):
+            for receiver, msg in deliveries.pop(now, ()):
                 log(TranscriptEvent(now, "receive", cycle, msg.sender, receiver, msg.digest))
-                decision, alerts = nodes[receiver].receive(msg, now)
-                log_node_output(now, receiver, decision, alerts)
-            for aid in ids:
-                node = nodes[aid]
-                decision, alerts = node.tick(now)
-                log_node_output(now, aid, decision, alerts)
-                deadline = node.deadline
-                if deadline is not None and deadline not in deliveries:
-                    deliveries[deadline] = []
-                    heapq.heappush(pending, deadline)
+                node = nodes[receiver]
+                if node.decision is not None:
+                    continue
+                decision, alerts = node.receive(msg, now)
+                if decision is not None or alerts:
+                    log_node_output(now, receiver, decision, alerts)
+                if receiver not in started:
+                    started.add(receiver)
+                    deadline = node.deadline
+                    if deadline is not None:
+                        if deadline not in deliveries and deadline not in due:
+                            heapq.heappush(pending, deadline)
+                        due.setdefault(deadline, []).append(receiver)
+            for aid in sorted(due.pop(now, ())):
+                decision, alerts = nodes[aid].tick(now)
+                if decision is not None:
+                    log_node_output(now, aid, decision, alerts)
 
         cycle_events = events[cycle_events_start:]
         accepted: dict[str, int] = {}
@@ -486,35 +500,66 @@ def summarize(result: SimulationResult) -> dict:
     }
 
 
-_encode_nested = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+def _alert_json(alert: Alert, quote) -> str:
+    return (f'{{"cycle":{alert.cycle},"kind":{quote(alert.kind)},"note":{quote(alert.note)},'
+            f'"senders":[{",".join(map(quote, alert.senders))}]}}')
+
+
+def _decision_json(decision: AgencyDecision, quote) -> str:
+    digest = "null" if decision.digest is None else quote(decision.digest)
+    return (f'{{"cycle":{decision.cycle},"digest":{digest},'
+            f'"divergent":[{",".join(map(quote, decision.divergent))}],'
+            f'"outcome":{quote(decision.outcome.value)}}}')
+
+
+# Key prefixes for the optional fields; an f-string expression cannot hold
+# a backslash or, before Python 3.12, its own quote character.
+_ALERT, _DECISION, _DIGEST = '{"alert":', ',"decision":', ',"digest":'
+_RECEIVER, _SENDER = ',"receiver":', ',"sender":'
+
+
+def _line(ev: TranscriptEvent, quote) -> str:
+    tick, type_, cycle, sender, receiver, digest, decision, alert = ev
+    return (
+        f'{"{" if alert is None else _ALERT + _alert_json(alert, quote) + ","}"cycle":{cycle}'
+        f'{"" if decision is None else _DECISION + _decision_json(decision, quote)}'
+        f'{"" if digest is None else _DIGEST + quote(digest)}'
+        f'{"" if receiver is None else _RECEIVER + quote(receiver)}'
+        f'{"" if sender is None else _SENDER + quote(sender)}'
+        f',"tick":{tick},"type":{quote(type_)}}}\n'
+    )
 
 
 def transcript_line(ev: TranscriptEvent) -> str:
     """``ev.to_json()`` as compact JSON with sorted keys and ASCII escapes.
 
     Byte for byte ``json.dumps(ev.to_json(), sort_keys=True,
-    separators=(",", ":")) + "\\n"``, written key by key: the top-level
-    keys in sorted order, strings quoted by the encoder's own
-    ``encode_basestring_ascii`` and the nested decision and alert objects
-    through one shared encoder.
+    separators=(",", ":")) + "\\n"``, written key by key, the nested
+    decision and alert objects too: keys in sorted order and every
+    string quoted by the encoder's own ``encode_basestring_ascii``.
     """
-    tick, type_, cycle, sender, receiver, digest, decision, alert = ev
-    line = "{"
-    if alert is not None:
-        line += '"alert":' + _encode_nested(alert.to_json()) + ","
-    line += f'"cycle":{cycle}'
-    if decision is not None:
-        line += ',"decision":' + _encode_nested(decision.to_json())
-    if digest is not None:
-        line += ',"digest":' + encode_basestring_ascii(digest)
-    if receiver is not None:
-        line += ',"receiver":' + encode_basestring_ascii(receiver)
-    if sender is not None:
-        line += ',"sender":' + encode_basestring_ascii(sender)
-    return line + f',"tick":{tick},"type":{encode_basestring_ascii(type_)}}}\n'
+    return _line(ev, encode_basestring_ascii)
+
+
+class _QuoteOnce(dict):
+    """str -> its ``encode_basestring_ascii`` form, computed on first use."""
+
+    def __missing__(self, text: str) -> str:
+        quoted = self[text] = encode_basestring_ascii(text)
+        return quoted
+
+
+_CHUNK_LINES = 4096
 
 
 def export_transcript(events: list[TranscriptEvent], path: str | Path) -> None:
-    """Write one ``transcript_line`` per event, in transcript order."""
+    """Write one ``transcript_line`` per event, in transcript order.
+
+    Each distinct string (agency ids, digests, type names, notes) is
+    quoted once per call and reused from a table dropped when the call
+    returns; lines go to the file in chunks of ``_CHUNK_LINES``.
+    """
+    quote = _QuoteOnce().__getitem__
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(map(transcript_line, events))
+        for i in range(0, len(events), _CHUNK_LINES):
+            fh.write("".join([_line(ev, quote) for ev in events[i:i + _CHUNK_LINES]]))

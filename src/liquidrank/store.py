@@ -170,8 +170,10 @@ class LocalFileStore:
         every row.  Re-putting an identical snapshot at an existing
         timestamp is a no-op that returns ``None``; a different snapshot at
         an existing timestamp is a conflict; a timestamp older than the
-        newest stored one is an ordering error.
+        newest stored one is an ordering error.  A failed put leaves no
+        file behind.
         """
+        tmp = None
         try:
             data = serialize_state(state, self._rows, touched)
             if self._stamps and state.at <= self._stamps[-1]:
@@ -192,6 +194,8 @@ class LocalFileStore:
             os.replace(tmp, path)
         except BaseException:
             self._rows.clear()
+            if tmp is not None:
+                tmp.unlink(missing_ok=True)
             raise
         self._stamps.append(state.at)
         return path

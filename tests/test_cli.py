@@ -6,6 +6,7 @@ printed output are asserted directly.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import random
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import liquidrank
+from liquidrank import consensus, store
 from liquidrank.cli import main
 from liquidrank.evaluate import distribution_stats, pearson
 from liquidrank.store import load_snapshot
@@ -265,6 +267,25 @@ def test_failed_compute_rerun_removes_the_snapshots_it_wrote(tmp_path, capsys):
     assert (code, stdout) == (1, "")
     assert "weighted mean overflows" in err
     assert _tree_bytes(out) == first
+
+
+def test_failed_put_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
+    log = _write(tmp_path / "ratings.csv", "a,b,stake,,,1.0,1,,100\nb,a,transaction,,,0.5,1,,200\n")
+    out = tmp_path / "out"
+    real_replace, calls = store.os.replace, []
+
+    def replace_then_fail(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(store.os, "replace", replace_then_fail)
+    code, stdout, err = _run(capsys, "compute", "--log", log, "--window", "tx", "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert "No space left on device" in err
+    assert Path(calls[1]).name == f"{200:020d}.csv"
+    assert _tree_bytes(out) == {}
 
 
 @pytest.mark.parametrize("command, name, text, message", [
@@ -563,6 +584,38 @@ def test_simulate_rerun_is_byte_identical(tmp_path, capsys):
         assert code == 0
         outputs.append((stdout, _tree_bytes(out)))
     assert outputs[0] == outputs[1]
+
+
+_real_export = consensus.export_transcript
+
+
+def _export_50_lines_then_fail(events, path):
+    _real_export(events[:50], path)
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _fail_summary(result):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("name, failing", [
+    ("export_transcript", _export_50_lines_then_fail),
+    ("summarize", _fail_summary),
+])
+def test_failed_simulate_rerun_keeps_the_previous_outputs(tmp_path, capsys, monkeypatch,
+                                                          name, failing):
+    out = tmp_path / "sim"
+    argv = ["simulate", "--agencies", "5", "--cycles", "3", "--faulty", "divergent:1",
+            "--delay-max", "3", "--drop-rate", "0.1", "--out", str(out)]
+    code, _, _ = _run(capsys, *argv, "--seed", "1")
+    assert code == 0
+    first = _tree_bytes(out)
+    assert sorted(first) == ["summary.json", "transcript.jsonl"]
+    monkeypatch.setattr(consensus, name, failing)
+    code, stdout, err = _run(capsys, *argv, "--seed", "2")
+    assert (code, stdout) == (1, "")
+    assert "No space left on device" in err
+    assert _tree_bytes(out) == first
 
 
 def test_simulate_honest_outcomes_ignore_seed(tmp_path, capsys):

@@ -14,6 +14,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
@@ -128,16 +129,36 @@ def _reference_line(ev) -> str:
     return json.dumps(ev.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def test_line_encoder_matches_json_dumps_on_a_seeded_run():
+def _assert_encoded(events, path):
+    reference = [_reference_line(ev) for ev in events]
+    for ev, line in zip(events, reference):
+        assert consensus.transcript_line(ev) == line
+    assert path.read_bytes() == "".join(reference).encode("ascii")
+
+
+def test_line_encoder_matches_json_dumps_on_a_seeded_run(tmp_path, monkeypatch):
     result = consensus.run_simulation(
         7, faulty={"a00": consensus.DIVERGENT, "a01": consensus.EQUIVOCATING,
                    "a02": consensus.SILENT},
-        cycles=4, network=consensus.NetworkModel(0, 3, 0.2), seed=21,
+        cycles=80, network=consensus.NetworkModel(0, 3, 0.2), seed=21,
     )
     kinds = {ev.type for ev in result.events}
     assert kinds == {"send", "receive", "decision", "alert"}
-    for ev in result.events:
-        assert consensus.transcript_line(ev) == _reference_line(ev)
+    # The export writes in chunks; this run spans more than one.
+    assert len(result.events) > consensus._CHUNK_LINES
+    path = tmp_path / "seeded.jsonl"
+    consensus.export_transcript(result.events, path)
+    _assert_encoded(result.events, path)
+
+    # Each golden scenario, through the CLI: its events and the file it wrote.
+    runs = []
+    real_run = consensus.run_simulation
+    monkeypatch.setattr(consensus, "run_simulation",
+                        lambda *a, **kw: runs.append(real_run(*a, **kw)) or runs[-1])
+    for name in sorted(SCENARIOS):
+        run_scenario(name, tmp_path)
+        _assert_encoded(runs[-1].events, tmp_path / name / "transcript.jsonl")
+    assert len(runs) == len(SCENARIOS)
 
 
 def test_line_encoder_matches_json_dumps_on_odd_strings():
@@ -159,3 +180,51 @@ def test_line_encoder_matches_json_dumps_on_odd_strings():
         line = consensus.transcript_line(ev)
         assert line == _reference_line(ev)
         assert line.isascii()
+
+
+def _random_run(rng):
+    """One seeded ``run_simulation`` over a random network, fault mix and config."""
+    n = rng.randint(1, 9)
+    ids = consensus.agency_ids(n)
+    kinds = (None, *consensus.FAULT_KINDS)
+    faulty = {aid: kind for aid in ids if (kind := rng.choice(kinds)) is not None}
+    delay_min = rng.randint(0, 7)
+    network = consensus.NetworkModel(
+        delay_min, rng.randint(delay_min, 7), rng.choice([0.0, rng.uniform(0.0, 0.4)]),
+    )
+    if rng.random() < 0.5:
+        reputations = {
+            aid: rng.choice([0.0, 0.25, 0.5, 1.0, rng.random()])
+            for aid in ids if rng.random() < 0.8
+        }
+        cfg = consensus.ConsensusConfig(
+            min_identical=rng.uniform(0.1, 3.5), max_nonidentical=rng.uniform(0.1, 5.0),
+            timeout=rng.randint(1, 12), por_weighted=True, agency_reputations=reputations,
+        )
+    else:
+        cfg = consensus.ConsensusConfig(
+            min_identical=rng.randint(2, 5), max_nonidentical=rng.randint(1, 7),
+            timeout=rng.randint(1, 12),
+        )
+    return consensus.run_simulation(
+        n, faulty, rng.randint(1, 3), cfg, network,
+        seed=rng.randrange(10**6), reward_slots=rng.randint(0, 3),
+    )
+
+
+# SHA-256 over the transcript file and summary of every ``_random_run`` of
+# ``random.Random(2017)``, recorded before the tick loop skipped no-op node
+# calls and the export quoted each token once.
+RANDOM_RUNS_DIGEST = "e9f91830458d8368c06bad7081d119f8d3e70b6ce2bc5c7084d337b985190077"
+
+
+def test_random_runs_keep_their_recorded_bytes(tmp_path):
+    rng = random.Random(2017)
+    path = tmp_path / "transcript.jsonl"
+    h = hashlib.sha256()
+    for _ in range(200):
+        result = _random_run(rng)
+        consensus.export_transcript(result.events, path)
+        h.update(path.read_bytes())
+        h.update(json.dumps(consensus.summarize(result), sort_keys=True).encode())
+    assert h.hexdigest() == RANDOM_RUNS_DIGEST
