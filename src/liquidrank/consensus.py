@@ -359,7 +359,8 @@ def run_simulation(
         if agency not in ids:
             raise ConfigError(f"unknown faulty agency {agency!r}")
         if kind not in FAULT_KINDS:
-            raise ConfigError(f"unknown fault kind {kind!r}")
+            expected = ", ".join(FAULT_KINDS)
+            raise ConfigError(f"unknown fault kind {kind!r}; expected one of {expected}")
 
     rng = random.Random(seed)
     # randint(a, b) is randrange(a, b + 1): the same draws, one call less.

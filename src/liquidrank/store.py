@@ -12,7 +12,8 @@ are computed over exactly these bytes.
 ``LocalFileStore`` writes one file per snapshot into a directory, named
 by the zero-padded timestamp.  It indexes its timestamps once, when it
 opens, from the files named that way, and appends each new timestamp on
-put.
+put.  Every output file the package writes is staged by :func:`replacing`,
+so a failed write leaves its target as it found it.
 
 The store also keeps one :class:`RowCache`, so a put can re-render only
 the rows that changed since the previous one.  ``put(state, touched)``
@@ -31,8 +32,9 @@ from __future__ import annotations
 
 import hashlib
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     RecordError,
@@ -41,6 +43,25 @@ from .errors import (
     StoreOrderingError,
 )
 from .model import ParticipantId, ReputationState, check_participant_id, decode_input
+
+
+@contextmanager
+def replacing(*targets: str | Path) -> Iterator[list[Path]]:
+    """Stage a write of each target under ``<target>.partial``.
+
+    Yields the staged paths, in target order.  When the block succeeds each
+    staged file replaces its target; when it fails they are removed and the
+    targets keep their previous contents.
+    """
+    staged = [Path(f"{target}.partial") for target in targets]
+    try:
+        yield staged
+        for path, target in zip(staged, targets):
+            os.replace(path, target)
+    except BaseException:
+        for path in staged:
+            path.unlink(missing_ok=True)
+        raise
 
 
 class RowCache:
@@ -102,11 +123,11 @@ def deserialize_state(data: bytes) -> ReputationState:
     if lines[-1] == "":
         lines.pop()
     if not lines:
-        raise RecordError("empty snapshot")
+        raise RecordError("empty snapshot", 1)
     try:
         at = int(lines[0])
     except ValueError:
-        raise RecordError(f"snapshot header {lines[0]!r} is not a timestamp") from None
+        raise RecordError(f"snapshot header {lines[0]!r} is not a timestamp", 1) from None
     values: dict[str, float] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         pid, sep, raw = line.partition(",")
@@ -173,7 +194,6 @@ class LocalFileStore:
         newest stored one is an ordering error.  A failed put leaves no
         file behind.
         """
-        tmp = None
         try:
             data = serialize_state(state, self._rows, touched)
             if self._stamps and state.at <= self._stamps[-1]:
@@ -189,13 +209,10 @@ class LocalFileStore:
                     f"t={self._stamps[-1]}"
                 )
             path = self._path(state.at)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
+            with replacing(path) as (staged,):
+                staged.write_bytes(data)
         except BaseException:
             self._rows.clear()
-            if tmp is not None:
-                tmp.unlink(missing_ok=True)
             raise
         self._stamps.append(state.at)
         return path

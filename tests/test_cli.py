@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import liquidrank
-from liquidrank import consensus, store
+from liquidrank import cli, consensus, store
 from liquidrank.cli import main
 from liquidrank.evaluate import distribution_stats, pearson
 from liquidrank.store import load_snapshot
@@ -296,6 +296,8 @@ def test_failed_put_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
      '{"rater":"a","ratee":"b","kind":"stake","value":1,"timestamp":1}\n["a","b"]\n',
      "line 2: expected a JSON object"),
     ("stats", "snapshot.csv", "10\na,0.9\nb,zero\n", "line 3: reputation 'zero' is not a number"),
+    ("stats", "snapshot.csv", "x\na,0.5\n", "line 1: snapshot header 'x' is not a timestamp"),
+    ("stats", "snapshot.csv", "", "line 1: empty snapshot"),
 ])
 def test_bad_data_line_exits_1_with_its_line(tmp_path, capsys, command, name, text, message):
     path = _write(tmp_path / name, text)
@@ -490,6 +492,32 @@ def test_export_bytes_match_list_and_join_rendering(tmp_path, capsys, seed):
                              "--out", str(dot), "--default-reputation", "0.25")
     assert (code, stdout, err) == (0, "", "")
     assert dot.read_bytes() == _dot_by_join(values, records, 0.25).encode("utf-8")
+
+
+def test_failed_export_keeps_the_previous_graph(tmp_path, capsys, monkeypatch):
+    snap = _write_snapshot(tmp_path / "snap.csv", 10, {"a": 0.9, "b": 0.2})
+    log = _write(tmp_path / "ratings.csv", "a,b,transaction,,,1.0,1,,5\n")
+    dot = tmp_path / "graph.dot"
+    argv = ["export", "--snapshot", snap, "--log", log, "--out", str(dot)]
+    code, _, _ = _run(capsys, *argv)
+    assert code == 0
+    first = dot.read_bytes()
+    # The second graph would differ, and the disk fills up part way through it.
+    _write(Path(log), "a,b,transaction,,,1.0,1,,5\nb,c,transaction,,,1.0,1,,6\n")
+    real_quote, calls = cli._dot_quote, []
+
+    def quote_then_fail(token):
+        calls.append(token)
+        if len(calls) == 4:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_quote(token)
+
+    monkeypatch.setattr(cli, "_dot_quote", quote_then_fail)
+    code, stdout, err = _run(capsys, *argv)
+    assert (code, stdout) == (1, "")
+    assert "No space left on device" in err
+    assert dot.read_bytes() == first
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["graph.dot", "ratings.csv", "snap.csv"]
 
 
 @pytest.mark.parametrize("command, bad_file", [
@@ -765,6 +793,8 @@ def test_each_config_check_exits_2_with_its_message(tmp_path, capsys, command, c
     (["--max-nonidentical", "0"], "max_nonidentical must be at least 1"),
     (["--timeout", "0"], "timeout must be at least 1 tick"),
     (["--por", "--min-identical", "0"], "min_identical weight threshold must be positive"),
+    (["--faulty", "bogus:1"],
+     "unknown fault kind 'bogus'; expected one of silent, divergent, equivocating"),
 ])
 def test_simulate_bad_override_flag_exits_2(tmp_path, capsys, flags, message):
     out = tmp_path / "sim"

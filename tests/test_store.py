@@ -163,6 +163,7 @@ def test_local_store_survives_restart(tmp_path):
     reopened.put(_state(30, {"a": 0.5}))
     (root / "notes.csv").write_text("not a snapshot\n")
     (root / "x.tmp").write_text("half written\n")
+    (root / f"{50:020d}.csv.partial").write_text("50\na,0.5\n")  # a staged put, never published
     # a valid snapshot whose name int() reads but the store never writes
     (root / "40.csv").write_bytes(serialize_state(_state(40, {"a": 0.75})))
     third = LocalFileStore(root)
@@ -179,7 +180,8 @@ def test_local_store_survives_restart(tmp_path):
         third.put(_state(30, {"a": 0.25}))
     assert third.latest().at == 30
     assert sorted(p.name for p in root.iterdir()) == [
-        f"{20:020d}.csv", f"{30:020d}.csv", "40.csv", "notes.csv", "x.tmp",
+        f"{20:020d}.csv", f"{30:020d}.csv", f"{50:020d}.csv.partial", "40.csv", "notes.csv",
+        "x.tmp",
     ]
 
 
