@@ -38,5 +38,5 @@ for title, faulty in SCENARIOS:
               f"{alerts:6d}  {divergent:14s}  {reward}")
     print()
 
-# the reward goes to the fastest senders of the digest that won, so a
-# forked agency never mines even when the round still settles
+# the reward goes to the first senders, in agency-id order, of the digest
+# that won, so a forked agency never mines even when the round still settles

@@ -9,7 +9,7 @@ at a time, and the periodic / per-block modes sit in between.
 
 from liquidrank.config import EngineConfig
 from liquidrank.engine import run_windows
-from liquidrank.ingest import PerBlock, PerTransaction, Periodic, WholeHistory, partition
+from liquidrank.ingest import PerBlock, Periodic, partition, window_mode_from_spec
 from liquidrank.model import Kind, RatingRecord
 
 log = [
@@ -21,8 +21,8 @@ log = [
 ]
 
 modes = [
-    ("whole history", WholeHistory()),
-    ("per transaction", PerTransaction()),
+    ("whole history", window_mode_from_spec("whole")),
+    ("per transaction", window_mode_from_spec("tx")),
     ("periodic, length 20", Periodic(20)),
     ("blocks of 2", PerBlock(2)),
 ]

@@ -83,6 +83,7 @@ def _parse_faulty_spec(spec: str, ids: list[str]) -> dict[str, str]:
     for part in spec.split(","):
         kind, sep, count_raw = part.partition(":")
         kind = kind.strip()
+        consensus.check_fault_kind(kind)
         if sep:
             try:
                 count = int(count_raw)

@@ -278,30 +278,11 @@ class SimulationResult:
     rewards: list[list[AgencyId]]
 
 
-def mining_reward(
-    events: list[TranscriptEvent],
-    accepted_digest: str | None,
-    reward_slots: int,
-) -> list[AgencyId]:
-    """First senders of the accepted digest, in send order.
-
-    Returns up to ``reward_slots`` distinct senders ordered by send tick
-    with ties broken by agency id.  A broken cycle (no accepted digest)
-    rewards nobody.
-    """
-    if accepted_digest is None or reward_slots <= 0:
-        return []
-    sends = sorted(
-        (ev for ev in events if ev.type == "send" and ev.digest == accepted_digest),
-        key=lambda ev: (ev.tick, ev.sender),
-    )
-    winners: list[AgencyId] = []
-    for ev in sends:
-        if ev.sender not in winners:
-            winners.append(ev.sender)
-            if len(winners) == reward_slots:
-                break
-    return winners
+def check_fault_kind(kind: str) -> None:
+    """Raise ConfigError unless ``kind`` is one of ``FAULT_KINDS``."""
+    if kind not in FAULT_KINDS:
+        expected = ", ".join(FAULT_KINDS)
+        raise ConfigError(f"unknown fault kind {kind!r}; expected one of {expected}")
 
 
 def agency_ids(n_agencies: int) -> list[AgencyId]:
@@ -344,6 +325,12 @@ def run_simulation(
     agency-id order, only to the nodes whose deadline falls on it: a
     node with no receipt never times out and one with a later deadline
     cannot time out yet.
+
+    A cycle's reward goes to the first ``reward_slots`` senders of the
+    digest most agencies accepted (ties to the smallest digest), in
+    agency-id order, since every send of a cycle happens at its first
+    tick.  An equivocator's own digest is never sent, so it never earns a
+    reward; a cycle where no agency accepted rewards nobody.
     """
     if n_agencies < 1:
         raise ConfigError("need at least one agency")
@@ -358,9 +345,7 @@ def run_simulation(
     for agency, kind in faulty.items():
         if agency not in ids:
             raise ConfigError(f"unknown faulty agency {agency!r}")
-        if kind not in FAULT_KINDS:
-            expected = ", ".join(FAULT_KINDS)
-            raise ConfigError(f"unknown fault kind {kind!r}; expected one of {expected}")
+        check_fault_kind(kind)
 
     rng = random.Random(seed)
     # randint(a, b) is randrange(a, b + 1): the same draws, one call less.
@@ -386,7 +371,8 @@ def run_simulation(
         t0 = cycle * period
         nodes = {aid: AgencyNode(aid, cfg, cycle) for aid in ids}
         base_digest = state_digest(_cycle_base_state(cycle))
-        cycle_events_start = len(events)
+        # digest -> the agencies that sent it, in send order (agency-id order).
+        senders_of: dict[str, list[AgencyId]] = {}
         # tick -> (receiver, msg) in send order: senders by zero-padded id,
         # each sender's own receipt before its receivers in id order.
         deliveries: dict[int, list[tuple[AgencyId, StateDigest]]] = {}
@@ -404,6 +390,7 @@ def run_simulation(
             own_msg = StateDigest(cycle, own_digest, sender)
             if fault != EQUIVOCATING:
                 log(TranscriptEvent(t0, "send", cycle, sender, digest=own_digest))
+                senders_of.setdefault(own_digest, []).append(sender)
 
             # A sender's own digest counts as a receipt at send time.
             deliveries.setdefault(t0, []).append((sender, own_msg))
@@ -415,6 +402,7 @@ def run_simulation(
                     digest = _perturbed_digest(cycle, f"{sender}->{receiver}")
                     msg = StateDigest(cycle, digest, sender)
                     log(TranscriptEvent(t0, "send", cycle, sender, receiver, digest))
+                    senders_of.setdefault(digest, []).append(sender)
                 at = t0 + randrange(delay_lo, delay_hi)
                 if draw() < drop_rate:
                     continue
@@ -448,7 +436,6 @@ def run_simulation(
                 if decision is not None:
                     log_node_output(now, aid, decision, alerts)
 
-        cycle_events = events[cycle_events_start:]
         accepted: dict[str, int] = {}
         for aid in ids:
             decision = nodes[aid].decision
@@ -460,7 +447,7 @@ def run_simulation(
             accepted_digest = min(d for d, c in accepted.items() if c == best)
         else:
             accepted_digest = None
-        rewards.append(mining_reward(cycle_events, accepted_digest, reward_slots))
+        rewards.append(senders_of.get(accepted_digest, [])[:reward_slots])
 
     return SimulationResult(
         agency_ids=ids, cycles=cycles, events=events,

@@ -16,26 +16,13 @@ Records are validated on parse and errors carry 1-based line numbers.
 from __future__ import annotations
 
 import json
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, RecordError
 from .model import Kind, RatingRecord, TimeWindow, csv_rows, decode_input, text_lines
-
-
-@dataclass(frozen=True)
-class WholeHistory:
-    """A single window covering every record."""
-
-
-@dataclass(frozen=True)
-class PerTransaction:
-    """One window per distinct record timestamp.
-
-    Records sharing a timestamp land in the same window; splitting them
-    would create zero-length windows whose ratings carry no time weight.
-    """
 
 
 @dataclass(frozen=True)
@@ -55,7 +42,9 @@ class PerBlock:
 
     The last chunk may be short, and a chunk grows past ``size`` when the
     records at its boundary share a timestamp: splitting them would produce
-    two windows ending at the same instant.
+    two windows ending at the same instant.  Size 1 is ``tx``, one window
+    per distinct timestamp, and ``sys.maxsize`` is ``whole``, one window
+    covering every record.
     """
 
     size: int
@@ -65,15 +54,15 @@ class PerBlock:
             raise ConfigError(f"block size must be positive, got {self.size}")
 
 
-WindowMode = WholeHistory | PerTransaction | Periodic | PerBlock
+WindowMode = Periodic | PerBlock
 
 
 def window_mode_from_spec(spec: str) -> WindowMode:
     """Parse the CLI window syntax: whole | tx | period:<N> | block:<N>."""
     if spec == "whole":
-        return WholeHistory()
+        return PerBlock(sys.maxsize)
     if spec == "tx":
-        return PerTransaction()
+        return PerBlock(1)
     head, sep, arg = spec.partition(":")
     if sep and head in ("period", "block"):
         try:
@@ -174,6 +163,10 @@ def _parse_jsonl(text: str) -> list[RatingRecord]:
             raise RecordError(f"invalid JSON: {exc.msg}", line_num) from None
         except RecordError as exc:
             raise RecordError(str(exc), line_num) from None
+        except RecursionError:
+            raise RecordError("invalid JSON: nested too deeply", line_num) from None
+        except ValueError:  # past the interpreter's int-string digit limit
+            raise RecordError("invalid JSON: an integer has too many digits", line_num) from None
         if not isinstance(obj, dict):
             raise RecordError("expected a JSON object", line_num)
         unknown = obj.keys() - _FIELDS.keys()
@@ -212,11 +205,11 @@ def partition(
 ) -> list[tuple[TimeWindow, list[RatingRecord]]]:
     """Split a log into consecutive windows according to ``mode``.
 
-    One loop cuts every mode.  ``whole``, ``tx`` and ``block:N`` are count
-    cuts of all records, 1 record and N records, each grown over the ties
-    at its last timestamp, where it ends.  ``period:N`` is a time cut of N
-    ticks, empty windows included; a span from the origin to the last
-    record that does not fit in a float is a record error.
+    One loop cuts both modes.  ``PerBlock(N)`` is a count cut of N
+    records, grown over the ties at its last timestamp, where it ends.
+    ``Periodic(N)`` is a time cut of N ticks, empty windows included; a
+    span from the origin to the last record that does not fit in a float
+    is a record error.
 
     Every record lands in exactly one window and windows chain: each
     window's t_prev is the previous window's t_now, starting at
@@ -240,10 +233,6 @@ def partition(
             ) from None
     elif isinstance(mode, PerBlock):
         count = mode.size
-    elif isinstance(mode, PerTransaction):
-        count = 1
-    elif isinstance(mode, WholeHistory):
-        count = len(ordered)
     else:
         raise ConfigError(f"unknown window mode {mode!r}")
 

@@ -51,17 +51,34 @@ def replacing(*targets: str | Path) -> Iterator[list[Path]]:
 
     Yields the staged paths, in target order.  When the block succeeds each
     staged file replaces its target; when it fails they are removed and the
-    targets keep their previous contents.
+    targets keep their previous contents.  With several targets, each one
+    is kept as a ``<target>.previous`` hard link until every rename has
+    succeeded, so a rename that fails part way undoes the ones before it.
     """
     staged = [Path(f"{target}.partial") for target in targets]
+    kept = [Path(f"{target}.previous") for target in targets] if len(targets) > 1 else []
+    renamed = 0
     try:
         yield staged
+        for target, previous in zip(targets, kept):
+            previous.unlink(missing_ok=True)
+            if os.path.exists(target):
+                os.link(target, previous)
         for path, target in zip(staged, targets):
             os.replace(path, target)
+            renamed += 1
     except BaseException:
         for path in staged:
             path.unlink(missing_ok=True)
+        for target, previous in zip(targets[:renamed], kept):
+            if previous.exists():
+                os.replace(previous, target)
+            else:
+                os.unlink(target)
         raise
+    finally:
+        for previous in kept:
+            previous.unlink(missing_ok=True)
 
 
 class RowCache:

@@ -27,7 +27,7 @@ from liquidrank.engine import (
     update_state,
 )
 from liquidrank.evaluate import distribution_stats, pearson
-from liquidrank.ingest import PerBlock, PerTransaction, Periodic, WholeHistory, partition
+from liquidrank.ingest import PerBlock, Periodic, partition, window_mode_from_spec
 from liquidrank.model import Kind, RatingRecord, ReputationState, TimeWindow
 from liquidrank.store import deserialize_state, serialize_state, state_digest
 from liquidrank.synth import lognormal_transaction_community, planted_truth_community
@@ -379,8 +379,8 @@ def test_acceptance_7_determinism_and_roundtrips(tmp_path, capsys):
         ]
         ordered = sorted(records, key=lambda rec: rec.timestamp)
         modes = [
-            WholeHistory(),
-            PerTransaction(),
+            window_mode_from_spec("whole"),
+            window_mode_from_spec("tx"),
             Periodic(rng.randint(1, 25)),
             PerBlock(rng.randint(1, 10)),
         ]

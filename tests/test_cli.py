@@ -295,6 +295,10 @@ def test_failed_put_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
     ("compute", "ratings.jsonl",
      '{"rater":"a","ratee":"b","kind":"stake","value":1,"timestamp":1}\n["a","b"]\n',
      "line 2: expected a JSON object"),
+    pytest.param("compute", "ratings.jsonl", '\n{"value":' + "9" * 4301 + "}\n",
+                 "line 2: invalid JSON: an integer has too many digits", id="jsonl-long-int"),
+    pytest.param("compute", "ratings.jsonl", "[" * 100_000 + "]" * 100_000 + "\n",
+                 "line 1: invalid JSON: nested too deeply", id="jsonl-deep-nesting"),
     ("stats", "snapshot.csv", "10\na,0.9\nb,zero\n", "line 3: reputation 'zero' is not a number"),
     ("stats", "snapshot.csv", "x\na,0.5\n", "line 1: snapshot header 'x' is not a timestamp"),
     ("stats", "snapshot.csv", "", "line 1: empty snapshot"),
@@ -646,6 +650,35 @@ def test_failed_simulate_rerun_keeps_the_previous_outputs(tmp_path, capsys, monk
     assert _tree_bytes(out) == first
 
 
+def test_failed_rename_keeps_the_simulate_pair_whole(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "sim"
+    argv = ["simulate", "--agencies", "4", "--cycles", "2", "--out", str(out)]
+    real_replace, calls = store.os.replace, []
+
+    def replace_second_fails(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        real_replace(src, dst)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(store.os, "replace", replace_second_fails)
+        assert _run(capsys, *argv, "--seed", "1")[:2] == (1, "")
+    # The transcript renamed before the failed summary rename is removed.
+    assert _tree_bytes(out) == {}
+    assert _run(capsys, *argv, "--seed", "1")[0] == 0
+    first = _tree_bytes(out)
+    calls.clear()
+    monkeypatch.setattr(store.os, "replace", replace_second_fails)
+    code, stdout, err = _run(capsys, *argv, "--seed", "2", "--faulty", "divergent:1")
+    assert (code, stdout) == (1, "")
+    assert "No space left on device" in err
+    # The third rename puts the previous transcript back.
+    assert [Path(dst).name for dst in calls] == ["transcript.jsonl", "summary.json",
+                                                 "transcript.jsonl"]
+    assert _tree_bytes(out) == first
+
+
 def test_simulate_honest_outcomes_ignore_seed(tmp_path, capsys):
     tables = []
     for seed in ("1", "2", "3"):
@@ -706,12 +739,17 @@ def test_simulate_bad_config_file_exits_2(tmp_path, capsys, cfg_text):
 
 
 @pytest.mark.parametrize("spec", ["gremlin:1", "divergent:x", "divergent:-1",
-                                  "divergent:9"])
+                                  "divergent:9", "bogus:0"])
 def test_simulate_bad_fault_spec_exits_2(tmp_path, capsys, spec):
     code, _, err = _run(capsys, "simulate", "--agencies", "5",
                         "--faulty", spec, "--out", str(tmp_path / "sim"))
     assert code == 2
     assert err.startswith("error:")
+    kind = spec.partition(":")[0]
+    if kind not in consensus.FAULT_KINDS:
+        # A kind is checked even when no agency gets it.
+        assert err == (f"error: unknown fault kind {kind!r}; "
+                       "expected one of silent, divergent, equivocating\n")
 
 
 def test_simulate_fault_spec_without_count_means_one(tmp_path, capsys):

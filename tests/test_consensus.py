@@ -21,10 +21,8 @@ from liquidrank.consensus import (
     NetworkModel,
     Outcome,
     StateDigest,
-    TranscriptEvent,
     agency_ids,
     export_transcript,
-    mining_reward,
     run_simulation,
     summarize,
 )
@@ -227,34 +225,6 @@ def test_network_model_validation():
     NetworkModel(delay_min=0, delay_max=0, drop_rate=0.0)
 
 
-# --- mining reward -----------------------------------------------------------
-
-def _send(tick, sender, digest):
-    return TranscriptEvent(tick=tick, type="send", cycle=0, sender=sender, digest=digest)
-
-
-def test_mining_reward_first_sender():
-    events = [_send(0, "a", "D"), _send(1, "b", "D"), _send(2, "c", "D")]
-    assert mining_reward(events, "D", 1) == ["a"]
-
-
-def test_mining_reward_skips_divergent_sender():
-    events = [_send(0, "a", "D"), _send(0, "b", "X"), _send(0, "c", "D")]
-    assert mining_reward(events, "D", 2) == ["a", "c"]
-
-
-def test_mining_reward_broken_cycle_pays_nobody():
-    events = [_send(0, "a", "D")]
-    assert mining_reward(events, None, 3) == []
-
-
-def test_mining_reward_tie_broken_by_id_then_dedup():
-    events = [
-        _send(5, "b", "D"), _send(5, "a", "D"), _send(6, "a", "D"),
-    ]
-    assert mining_reward(events, "D", 2) == ["a", "b"]
-
-
 # --- simulation scenarios ---------------------------------------------------
 
 def _collect_outcomes(result):
@@ -322,6 +292,22 @@ def test_rewards_follow_send_order_and_skip_divergent():
         5, faulty={"a00": DIVERGENT}, cycles=2, cfg=cfg, seed=5, reward_slots=2,
     )
     assert forked.rewards == [["a01", "a02"], ["a01", "a02"]]
+
+
+def test_cycle_reward_goes_to_the_first_senders_of_the_accepted_digest():
+    # Drops break some cycles at every agency; the rest accept the honest
+    # digest, whose first senders in agency-id order skip divergent a00.
+    cfg = ConsensusConfig(min_identical=3, max_nonidentical=5, timeout=4)
+    kw = dict(faulty={"a00": DIVERGENT}, cycles=12, cfg=cfg,
+              network=NetworkModel(delay_min=1, delay_max=3, drop_rate=0.6), seed=0)
+    result = run_simulation(5, reward_slots=2, **kw)
+    all_broken = [
+        all(result.decisions[aid][cycle].outcome is Outcome.BROKEN for aid in result.agency_ids)
+        for cycle in range(12)
+    ]
+    assert 0 < sum(all_broken) < 12
+    assert result.rewards == [[] if broken else ["a01", "a02"] for broken in all_broken]
+    assert run_simulation(5, reward_slots=0, **kw).rewards == [[]] * 12
 
 
 def test_transcript_deterministic_under_seed(tmp_path):

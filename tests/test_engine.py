@@ -20,7 +20,7 @@ from liquidrank.engine import (
     update_state,
 )
 from liquidrank.errors import ConfigError, RecordError
-from liquidrank.ingest import WholeHistory
+from liquidrank.ingest import window_mode_from_spec
 from liquidrank.model import Kind, RatingRecord, ReputationState, TimeWindow
 
 
@@ -195,7 +195,7 @@ def test_blend_weighted():
 def test_blend_rejects_both_weights_zero():
     with pytest.raises(ConfigError):
         cfg = EngineConfig(blend_stake=0.0, blend_transaction=0.0)
-        list(run_windows([], WholeHistory(), 0, cfg))
+        list(run_windows([], window_mode_from_spec("whole"), 0, cfg))
 
 
 # --- normalize_window ---------------------------------------------------

@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 
 from liquidrank.config import EngineConfig
 from liquidrank.engine import run_windows
-from liquidrank.ingest import PerBlock, Periodic, PerTransaction, WholeHistory, parse_log
+from liquidrank.ingest import PerBlock, Periodic, parse_log, window_mode_from_spec
 from liquidrank.store import deserialize_state, serialize_state
 
 _IDS = ["a", "b", "c", "é", "\U0001f600", "x y"]
-_MODES = [WholeHistory(), PerTransaction(), PerBlock(3), Periodic(7)]
+_MODES = [*map(window_mode_from_spec, ("whole", "tx")), PerBlock(3), Periodic(7)]
 _CONFIGS = [
     EngineConfig(),
     EngineConfig(use_log_financial=True, use_log_differential=True),

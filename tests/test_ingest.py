@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 import pytest
 
 from liquidrank.errors import ConfigError, RecordError
 from liquidrank.ingest import (
     PerBlock,
-    PerTransaction,
     Periodic,
-    WholeHistory,
     load_log,
     parse_log,
     partition,
@@ -221,8 +220,8 @@ def test_load_log_ignores_a_leading_byte_order_mark(tmp_path, name, text):
 # --- window_mode_from_spec ------------------------------------------------
 
 def test_window_mode_spec_parsing():
-    assert window_mode_from_spec("whole") == WholeHistory()
-    assert window_mode_from_spec("tx") == PerTransaction()
+    assert window_mode_from_spec("whole") == PerBlock(sys.maxsize)
+    assert window_mode_from_spec("tx") == PerBlock(1)
     assert window_mode_from_spec("period:100") == Periodic(100)
     assert window_mode_from_spec("block:5") == PerBlock(5)
 
@@ -237,7 +236,7 @@ def test_window_mode_spec_rejects(bad):
 
 def test_whole_history_single_window():
     records = [_rec("a", "b", 1), _rec("b", "c", 2), _rec("c", "a", 3)]
-    out = partition(records, WholeHistory(), 0)
+    out = partition(records, window_mode_from_spec("whole"), 0)
     assert len(out) == 1
     window, chunk = out[0]
     assert (window.t_origin, window.t_prev, window.t_now) == (0, 0, 3)
@@ -246,7 +245,7 @@ def test_whole_history_single_window():
 
 def test_per_transaction_one_window_each():
     records = [_rec("a", "b", 1), _rec("b", "c", 2), _rec("c", "a", 3)]
-    out = partition(records, PerTransaction(), 0)
+    out = partition(records, window_mode_from_spec("tx"), 0)
     assert len(out) == 3
     assert [w.t_now for w, _ in out] == [1, 2, 3]
     assert [w.t_prev for w, _ in out] == [0, 1, 2]
@@ -255,7 +254,7 @@ def test_per_transaction_one_window_each():
 
 def test_per_transaction_groups_equal_timestamps():
     records = [_rec("a", "b", 1), _rec("b", "c", 1), _rec("c", "a", 3)]
-    out = partition(records, PerTransaction(), 0)
+    out = partition(records, window_mode_from_spec("tx"), 0)
     assert len(out) == 2
     assert len(out[0][1]) == 2
     assert len(out[1][1]) == 1
@@ -304,7 +303,7 @@ def test_periodic_boundary_record_goes_to_later_window():
 
 def test_partition_rejects_records_before_origin():
     with pytest.raises(RecordError):
-        partition([_rec("a", "b", 5)], WholeHistory(), 10)
+        partition([_rec("a", "b", 5)], window_mode_from_spec("whole"), 10)
 
 
 def test_partition_rejects_an_unknown_window_mode():
@@ -323,13 +322,13 @@ def test_window_rejects_bounds_out_of_order():
 
 
 def test_partition_empty_log():
-    for mode in (WholeHistory(), PerTransaction(), Periodic(5), PerBlock(2)):
+    for mode in (*map(window_mode_from_spec, ("whole", "tx")), Periodic(5), PerBlock(2)):
         assert partition([], mode, 0) == []
 
 
 def test_partition_sorts_unsorted_input():
     records = [_rec("a", "b", 3), _rec("b", "c", 1)]
-    out = partition(records, WholeHistory(), 0)
+    out = partition(records, window_mode_from_spec("whole"), 0)
     assert [rec.timestamp for rec in out[0][1]] == [1, 3]
 
 
@@ -342,8 +341,8 @@ def test_partition_is_a_partition_all_modes():
         ]
         ordered = sorted(records, key=lambda rec: rec.timestamp)
         modes = [
-            WholeHistory(),
-            PerTransaction(),
+            window_mode_from_spec("whole"),
+            window_mode_from_spec("tx"),
             Periodic(rng.randint(1, 25)),
             PerBlock(rng.randint(1, 10)),
         ]
@@ -368,7 +367,7 @@ def test_periodic_with_length_beyond_span_equals_whole_history():
         n = rng.randint(1, 30)
         records = [_rec(f"p{i % 6}", f"q{i % 4}", rng.randint(0, 50)) for i in range(n)]
         span = max(rec.timestamp for rec in records)
-        whole = partition(records, WholeHistory(), 0)
+        whole = partition(records, window_mode_from_spec("whole"), 0)
         periodic = partition(records, Periodic(span + 1), 0)
         assert len(periodic) == 1
         assert periodic[0][1] == whole[0][1]
@@ -384,7 +383,7 @@ def _brute_partition(records, mode, t_origin):
             (t_origin, lo, hi, [rec for rec in ordered if lo <= rec.timestamp < hi])
             for lo, hi in zip(bounds, bounds[1:])
         ]
-    size = {WholeHistory: len(ordered), PerTransaction: 1}.get(type(mode)) or mode.size
+    size = mode.size
     out, chunk, t_prev = [], [], t_origin
     for i, rec in enumerate(ordered):
         chunk.append(rec)
@@ -406,12 +405,12 @@ def test_partition_matches_brute_force_all_modes():
         t_origin = rng.randint(-5, 5)
         # distinct raters keep equal-looking records apart in the comparison
         records = [_rec(f"p{i}", "q", rng.randint(5, 5 + rng.randint(0, 60))) for i in range(n)]
-        modes = [WholeHistory(), PerTransaction(), Periodic(rng.randint(1, 25)),
+        modes = [*map(window_mode_from_spec, ("whole", "tx")), Periodic(rng.randint(1, 25)),
                  PerBlock(rng.randint(1, 10))]
         for mode in modes:
             got = _flat(partition(records, mode, t_origin))
             assert got == _brute_partition(records, mode, t_origin), mode
-        assert _flat(partition(records, PerTransaction(), t_origin)) == _flat(
-            partition(records, PerBlock(1), t_origin))
-        assert _flat(partition(records, WholeHistory(), t_origin)) == _flat(
-            partition(records, PerBlock(n), t_origin))
+        # whole is one window of every record, tx one window per timestamp
+        assert len(partition(records, window_mode_from_spec("whole"), t_origin)) == 1
+        assert len(partition(records, window_mode_from_spec("tx"), t_origin)) == len(
+            {rec.timestamp for rec in records})

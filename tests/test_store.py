@@ -14,7 +14,7 @@ from liquidrank.errors import (
     StoreConflictError,
     StoreOrderingError,
 )
-from liquidrank.ingest import PerBlock, Periodic, PerTransaction, WholeHistory
+from liquidrank.ingest import PerBlock, Periodic, window_mode_from_spec
 from liquidrank.model import Kind, RatingRecord, ReputationState
 from liquidrank.store import (
     LocalFileStore,
@@ -265,8 +265,8 @@ def test_row_cache_matches_fresh_encoding(tmp_path):
 # --- the touched set the engine hands to put -------------------------------
 
 _IDS = [f"p{i}" for i in range(12)] + ["é", "\U0001f600x", "z\uffff", "b\u2028"]
-_MODES = {"whole": WholeHistory(), "tx": PerTransaction(), "block": PerBlock(5),
-          "period": Periodic(9)}
+_MODES = {"whole": window_mode_from_spec("whole"), "tx": window_mode_from_spec("tx"),
+          "block": PerBlock(5), "period": Periodic(9)}
 _CONFIGS = {
     "default": EngineConfig(),
     "log-aspect": EngineConfig(
