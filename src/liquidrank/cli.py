@@ -275,6 +275,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
+    # The ranking is written in UTF-8 whatever the locale: the same log gives
+    # the same bytes, and a non-ASCII id cannot fail once the files are out.
+    sys.stdout.reconfigure(encoding="utf-8")
     sys.exit(main())
 
 

@@ -18,7 +18,6 @@ same inputs and seed, same transcript bytes.
 from __future__ import annotations
 
 import enum
-import heapq
 import random
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -317,14 +316,11 @@ def run_simulation(
     nothing, divergent ones broadcast a digest of a forked state, and
     equivocating ones send a different forked digest to every peer.
     Delivery order is deterministic: events are processed by (tick,
-    send order), and all randomness comes from ``seed``.  Only
-    ticks that hold a delivery or a node's timeout deadline are visited,
-    so the cost follows the messages, not the width of the delay range.
-    At each, an undecided receiver gets ``receive`` (a decided one
-    ignores receipts, so it gets no call), and then ``tick`` goes, in
-    agency-id order, only to the nodes whose deadline falls on it: a
-    node with no receipt never times out and one with a later deadline
-    cannot time out yet.
+    send order), and all randomness comes from ``seed``.  A node's
+    deadline is its first delivery plus ``cfg.timeout``, so only the ticks
+    holding a delivery or a deadline are visited: each delivers to its
+    undecided receivers in send order, then calls ``tick`` in agency-id
+    order on the nodes whose deadline it is.
 
     A cycle's reward goes to the first ``reward_slots`` senders of the
     digest most agencies accepted (ties to the smallest digest), in
@@ -408,15 +404,17 @@ def run_simulation(
                     continue
                 deliveries.setdefault(at, []).append((receiver, msg))
 
-        # Only ticks holding a delivery or a deadline are visited, each once
-        # (a deadline lies after the receipt that starts its clock):
-        # deliveries, then tick() by id on the nodes whose deadline it is.
-        pending = sorted(deliveries)
+        # A node's first delivery starts its clock, so each deadline is
+        # filed, by agency id, before the first receipt.
+        first: dict[AgencyId, int] = {}
+        for now in sorted(deliveries):
+            for receiver, _ in deliveries[now]:
+                first.setdefault(receiver, now)
         due: dict[int, list[AgencyId]] = {}
-        started: set[AgencyId] = set()
-        while pending:
-            now = heapq.heappop(pending)
-            for receiver, msg in deliveries.pop(now, ()):
+        for aid, at in sorted(first.items()):
+            due.setdefault(at + cfg.timeout, []).append(aid)
+        for now in sorted(deliveries.keys() | due.keys()):
+            for receiver, msg in deliveries.get(now, ()):
                 log(TranscriptEvent(now, "receive", cycle, msg.sender, receiver, msg.digest))
                 node = nodes[receiver]
                 if node.decision is not None:
@@ -424,14 +422,7 @@ def run_simulation(
                 decision, alerts = node.receive(msg, now)
                 if decision is not None or alerts:
                     log_node_output(now, receiver, decision, alerts)
-                if receiver not in started:
-                    started.add(receiver)
-                    deadline = node.deadline
-                    if deadline is not None:
-                        if deadline not in deliveries and deadline not in due:
-                            heapq.heappush(pending, deadline)
-                        due.setdefault(deadline, []).append(receiver)
-            for aid in sorted(due.pop(now, ())):
+            for aid in due.get(now, ()):
                 decision, alerts = nodes[aid].tick(now)
                 if decision is not None:
                     log_node_output(now, aid, decision, alerts)

@@ -113,6 +113,25 @@ def test_compute_ranking_sorted_by_value_then_id(tmp_path, capsys):
     assert dict(pairs) == state.values
 
 
+def test_compute_stdout_is_utf8_whatever_the_locale(tmp_path):
+    # Through the console-script entry point: an ASCII or Latin-1 stdout
+    # still gets the UTF-8 ranking, and exit 0.
+    log = _write(tmp_path / "ratings.csv", "alé,böb,transaction,,,1.0,1,,100\n")
+    src = Path(liquidrank.__file__).resolve().parents[1]
+    runs = {}
+    for encoding in ("utf-8", "ascii", "latin-1"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONIOENCODING=encoding)
+        proc = subprocess.run(
+            [sys.executable, "-m", "liquidrank.cli", "compute", "--log", log,
+             "--window", "whole", "--out", str(tmp_path / encoding)],
+            env=env, capture_output=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b""), encoding
+        runs[encoding] = proc.stdout
+    assert runs["utf-8"] == "böb,1.0\n".encode("utf-8")
+    assert runs["ascii"] == runs["latin-1"] == runs["utf-8"]
+
+
 def test_compute_engine_config_enables_log_audit(tmp_path, capsys):
     log = _write(tmp_path / "ratings.csv", _LOG_3)
     cfg = _write(tmp_path / "engine.cfg",

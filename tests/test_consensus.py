@@ -441,14 +441,16 @@ def _random_simulation(rng):
             min_identical=rng.randint(2, 4), max_nonidentical=rng.randint(1, 6),
             timeout=rng.randint(1, 8),
         )
-    return run_simulation(n, faulty, rng.randint(1, 3), cfg, network, seed=rng.randrange(10**6))
+    result = run_simulation(n, faulty, rng.randint(1, 3), cfg, network,
+                            seed=rng.randrange(10**6))
+    return result, cfg
 
 
 def test_receipts_come_in_send_order_and_disputes_follow_digest_counts():
     """Checked from the transcript alone, over random configurations."""
     rng = random.Random(47)
     for _ in range(200):
-        result = _random_simulation(rng)
+        result, _ = _random_simulation(rng)
         events = result.events
         # Within a (cycle, tick): senders by id, each sender's own receipt
         # before its receivers in id order.
@@ -483,6 +485,46 @@ def test_receipts_come_in_send_order_and_disputes_follow_digest_counts():
                     assert (ev.decision.outcome is Outcome.ACCEPTED_WITH_DISPUTE) == (
                         len(digests) >= 2
                     ), (ev, digests)
+
+
+def test_timeouts_fall_on_first_receipt_plus_timeout():
+    """Checked from the transcript alone, over random configurations."""
+    rng = random.Random(53)
+    fired = {False: 0, True: 0}
+    for _ in range(200):
+        result, cfg = _random_simulation(rng)
+        first = {}
+        decided_at = {}
+        checks = {}
+        # (cycle, tick) -> its ("receive" or alert kind, agency) pairs, in log order
+        ticks = {}
+        for ev in result.events:
+            if ev.type == "receive":
+                first.setdefault((ev.cycle, ev.receiver), ev.tick)
+                ticks.setdefault((ev.cycle, ev.tick), []).append((ev.type, ev.receiver))
+            elif ev.type == "decision" and ev.decision.outcome is not Outcome.BROKEN:
+                decided_at[ev.cycle, ev.sender] = ev.tick
+            elif ev.type == "alert" and ev.alert.kind == SYSTEM_CHECK:
+                assert (ev.cycle, ev.sender) not in checks, ev
+                checks[ev.cycle, ev.sender] = ev.tick
+                ticks.setdefault((ev.cycle, ev.tick), []).append((ev.type, ev.sender))
+        # A node times out at its first receipt's tick plus the timeout,
+        # exactly when no receipt up to and including that tick decided it.
+        expected = {
+            node: tick + cfg.timeout for node, tick in first.items()
+            if decided_at.get(node, tick + cfg.timeout + 1) > tick + cfg.timeout
+        }
+        assert checks == expected
+        fired[cfg.por_weighted] += len(checks)
+        # Within a tick, every receipt comes before the timeouts, and those
+        # go in agency-id order.
+        for seq in ticks.values():
+            kinds = [kind for kind, _ in seq]
+            n_receipts = kinds.count("receive")
+            assert kinds[:n_receipts] == ["receive"] * n_receipts, seq
+            timed_out = [aid for _, aid in seq[n_receipts:]]
+            assert timed_out == sorted(timed_out), seq
+    assert min(fired.values()) > 100, fired
 
 
 def test_summary_counts_a_silent_agency_undecided():
