@@ -275,9 +275,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    # The ranking is written in UTF-8 whatever the locale: the same log gives
-    # the same bytes, and a non-ASCII id cannot fail once the files are out.
+    # The ranking and the error lines are written in UTF-8 whatever the
+    # locale: the same log gives the same bytes, and a non-ASCII id cannot
+    # fail once the files are out.
     sys.stdout.reconfigure(encoding="utf-8")
+    sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     sys.exit(main())
 
 

@@ -32,9 +32,10 @@ class EngineConfig:
     ``aspect_weights`` assigns relative importance to rating aspects;
     aspects not listed (including the absent aspect) fall back to
     ``default_aspect_weight``.  ``blend_stake`` and ``blend_transaction``
-    weight the two differential kinds against each other and may not both
-    be zero.  ``rater_weight_floor`` is the minimum effective reputation a
-    rater exerts regardless of its stored value.
+    weight the two differential kinds against each other; they may not both
+    be zero, and their sum must be finite.  ``rater_weight_floor`` is the
+    minimum effective reputation a rater exerts regardless of its stored
+    value.
     """
 
     default_reputation: float = 0.5
@@ -60,6 +61,8 @@ class EngineConfig:
             raise ConfigError("blend weights must be non-negative")
         if self.blend_stake + self.blend_transaction <= 0.0:
             raise ConfigError("blend_stake and blend_transaction must not both be zero")
+        if not math.isfinite(self.blend_stake + self.blend_transaction):
+            raise ConfigError("blend_stake + blend_transaction must be finite")
         if self.decay_recent <= 0.0 or self.decay_past <= 0.0:
             raise ConfigError("decay coefficients must be positive")
         if self.rater_weight_floor < 0.0:

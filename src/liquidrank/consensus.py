@@ -98,6 +98,11 @@ class AgencyNode:
     it, so no receipt crosses a cycle boundary.  Receipts for another
     cycle and from duplicate senders are ignored, and after a decision
     the node ignores further receipts.
+
+    The node keeps no clock: the simulator files each deadline and calls
+    ``time_out`` when it falls, and it files deadlines only for nodes
+    that received something, so a node that receives nothing never times
+    out.
     """
 
     def __init__(self, agency_id: AgencyId, cfg: ConsensusConfig, cycle: int = 0):
@@ -109,21 +114,18 @@ class AgencyNode:
         self._digest_weights: dict[str, float] = {}
         self._seen_senders: set[AgencyId] = set()
         self._total_weight = 0.0
-        self._first_receipt: int | None = None
 
     def _sender_weight(self, sender: AgencyId) -> float:
         if not self.cfg.por_weighted:
             return 1.0
         return self.cfg.agency_reputations.get(sender, 1.0)
 
-    def receive(self, msg: StateDigest, now: int) -> tuple[AgencyDecision | None, list[Alert]]:
+    def receive(self, msg: StateDigest) -> tuple[AgencyDecision | None, list[Alert]]:
         """Process one digest receipt; returns (decision, alerts emitted)."""
         if (msg.cycle != self.cycle or self.decision is not None
                 or msg.sender in self._seen_senders):
             return None, []
         self._seen_senders.add(msg.sender)
-        if self._first_receipt is None:
-            self._first_receipt = now
 
         alerts: list[Alert] = []
         self._digest_senders.setdefault(msg.digest, []).append(msg.sender)
@@ -198,31 +200,18 @@ class AgencyNode:
             divergent=divergent, alerts=(alert,),
         )
 
-    @property
-    def deadline(self) -> int | None:
-        """Tick at which ``tick`` breaks the cycle, or None if it never will."""
-        if self.decision is not None or self._first_receipt is None:
-            return None
-        return self._first_receipt + self.cfg.timeout
-
-    def tick(self, now: int) -> tuple[AgencyDecision | None, list[Alert]]:
-        """Check the cycle timeout; may declare the cycle broken.
-
-        The clock runs from the first receipt of the cycle; a node that
-        never received anything never times out.
-        """
-        deadline = self.deadline
-        if deadline is not None and now >= deadline:
-            alert = Alert(
-                kind=SYSTEM_CHECK,
-                cycle=self.cycle,
-                senders=(self.agency_id,),
-                note="no quorum before timeout",
-            )
-            decision = AgencyDecision(Outcome.BROKEN, self.cycle, alerts=(alert,))
-            self.decision = decision
-            return decision, [alert]
-        return None, []
+    def time_out(self) -> tuple[AgencyDecision | None, list[Alert]]:
+        """Declare the cycle broken and request a system check, unless decided."""
+        if self.decision is not None:
+            return None, []
+        alert = Alert(
+            kind=SYSTEM_CHECK,
+            cycle=self.cycle,
+            senders=(self.agency_id,),
+            note="no quorum before timeout",
+        )
+        self.decision = AgencyDecision(Outcome.BROKEN, self.cycle, alerts=(alert,))
+        return self.decision, [alert]
 
 
 # --- simulation -----------------------------------------------------------
@@ -319,8 +308,8 @@ def run_simulation(
     send order), and all randomness comes from ``seed``.  A node's
     deadline is its first delivery plus ``cfg.timeout``, so only the ticks
     holding a delivery or a deadline are visited: each delivers to its
-    undecided receivers in send order, then calls ``tick`` in agency-id
-    order on the nodes whose deadline it is.
+    undecided receivers in send order, then times out, in agency-id
+    order, the nodes whose deadline it is.
 
     A cycle's reward goes to the first ``reward_slots`` senders of the
     digest most agencies accepted (ties to the smallest digest), in
@@ -419,11 +408,11 @@ def run_simulation(
                 node = nodes[receiver]
                 if node.decision is not None:
                     continue
-                decision, alerts = node.receive(msg, now)
+                decision, alerts = node.receive(msg)
                 if decision is not None or alerts:
                     log_node_output(now, receiver, decision, alerts)
             for aid in due.get(now, ()):
-                decision, alerts = nodes[aid].tick(now)
+                decision, alerts = nodes[aid].time_out()
                 if decision is not None:
                     log_node_output(now, aid, decision, alerts)
 

@@ -10,8 +10,8 @@ canonical: equal states produce identical bytes, and consensus digests
 are computed over exactly these bytes.
 
 ``LocalFileStore`` writes one file per snapshot into a directory, named
-by the zero-padded timestamp.  It indexes its timestamps once, when it
-opens, from the files named that way, and appends each new timestamp on
+by the zero-padded timestamp.  It finds its newest timestamp once, when
+it opens, from the files named that way, and moves it forward on each
 put.  Every output file the package writes is staged by :func:`replacing`,
 so a failed write leaves its target as it found it.
 
@@ -186,7 +186,7 @@ class LocalFileStore:
                 continue
             if path.name == self._path(at).name:  # int() also takes "5", "+5", "5_0"
                 stamps.append(at)
-        self._stamps = sorted(stamps)
+        self._newest = max(stamps, default=None)
         self._rows = RowCache()
 
     def _path(self, at: int) -> Path:
@@ -213,7 +213,7 @@ class LocalFileStore:
         """
         try:
             data = serialize_state(state, self._rows, touched)
-            if self._stamps and state.at <= self._stamps[-1]:
+            if self._newest is not None and state.at <= self._newest:
                 existing = self._read(state.at)
                 if existing == data:
                     return None
@@ -223,7 +223,7 @@ class LocalFileStore:
                     )
                 raise StoreOrderingError(
                     f"snapshot at t={state.at} is older than the newest stored "
-                    f"t={self._stamps[-1]}"
+                    f"t={self._newest}"
                 )
             path = self._path(state.at)
             with replacing(path) as (staged,):
@@ -231,7 +231,7 @@ class LocalFileStore:
         except BaseException:
             self._rows.clear()
             raise
-        self._stamps.append(state.at)
+        self._newest = state.at
         return path
 
     def get(self, at: int) -> ReputationState:
@@ -241,10 +241,6 @@ class LocalFileStore:
         return deserialize_state(data)
 
     def latest(self) -> ReputationState:
-        if not self._stamps:
+        if self._newest is None:
             raise SnapshotNotFoundError("store is empty")
-        return self.get(self._stamps[-1])
-
-    def history(self, start: int, end: int) -> list[ReputationState]:
-        """All snapshots with start <= t <= end, ascending."""
-        return [self.get(at) for at in self._stamps if start <= at <= end]
+        return self.get(self._newest)

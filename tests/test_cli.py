@@ -115,20 +115,27 @@ def test_compute_ranking_sorted_by_value_then_id(tmp_path, capsys):
 
 def test_compute_stdout_is_utf8_whatever_the_locale(tmp_path):
     # Through the console-script entry point: an ASCII or Latin-1 stdout
-    # still gets the UTF-8 ranking, and exit 0.
-    log = _write(tmp_path / "ratings.csv", "alé,böb,transaction,,,1.0,1,,100\n")
+    # still gets the UTF-8 ranking, and exit 0; error lines are UTF-8 too.
+    good = _write(tmp_path / "ratings.csv", "alé,böb,transaction,,,1.0,1,,100\n")
+    bad = _write(tmp_path / "self.csv", "alé,alé,transaction,,,1.0,1,,100\n")
     src = Path(liquidrank.__file__).resolve().parents[1]
     runs = {}
     for encoding in ("utf-8", "ascii", "latin-1"):
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONIOENCODING=encoding)
-        proc = subprocess.run(
-            [sys.executable, "-m", "liquidrank.cli", "compute", "--log", log,
-             "--window", "whole", "--out", str(tmp_path / encoding)],
-            env=env, capture_output=True, timeout=60,
+        ok, failed = (
+            subprocess.run(
+                [sys.executable, "-m", "liquidrank.cli", "compute", "--log", log,
+                 "--window", "whole", "--out", str(tmp_path / f"{name}-{encoding}")],
+                env=env, capture_output=True, timeout=60,
+            )
+            for name, log in (("good", good), ("bad", bad))
         )
-        assert (proc.returncode, proc.stderr) == (0, b""), encoding
-        runs[encoding] = proc.stdout
-    assert runs["utf-8"] == "böb,1.0\n".encode("utf-8")
+        assert (ok.returncode, ok.stderr) == (0, b""), encoding
+        assert (failed.returncode, failed.stdout) == (1, b""), encoding
+        runs[encoding] = ok.stdout, failed.stderr
+    stdout, stderr = runs["utf-8"]
+    assert stdout == "böb,1.0\n".encode("utf-8")
+    assert "self-rating by 'alé'".encode("utf-8") in stderr
     assert runs["ascii"] == runs["latin-1"] == runs["utf-8"]
 
 
@@ -807,6 +814,8 @@ _BAD_CONFIGS = [
     ("compute", "blend_transaction = -1\n", "blend weights must be non-negative"),
     ("compute", "blend_stake = 0\nblend_transaction = 0\n",
      "blend_stake and blend_transaction must not both be zero"),
+    ("compute", "blend_stake = 1e308\nblend_transaction = 1e308\n",
+     "blend_stake + blend_transaction must be finite"),
     ("compute", "decay_recent = 0\n", "decay coefficients must be positive"),
     ("compute", "decay_past = -1\n", "decay coefficients must be positive"),
     ("compute", "rater_weight_floor = -0.1\n", "rater_weight_floor must be non-negative"),

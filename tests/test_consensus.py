@@ -43,28 +43,28 @@ def _msg(digest, sender, cycle=0):
 
 def test_accept_on_second_identical_receipt():
     node = _node(min_identical=2)
-    decision, alerts = node.receive(_msg("D", "a"), now=0)
+    decision, alerts = node.receive(_msg("D", "a"))
     assert decision is None and alerts == []
-    decision, alerts = node.receive(_msg("D", "b"), now=1)
+    decision, alerts = node.receive(_msg("D", "b"))
     assert decision is not None
     assert decision.outcome is Outcome.ACCEPTED
     assert decision.digest == "D"
     assert alerts == []
     # further receipts are ignored
-    decision, alerts = node.receive(_msg("X", "c"), now=2)
+    decision, alerts = node.receive(_msg("X", "c"))
     assert decision is None and alerts == []
     assert node.decision.outcome is Outcome.ACCEPTED
 
 
 def test_conflicting_receipt_disputes_then_majority_accepts():
     node = _node(min_identical=2, max_nonidentical=3)
-    node.receive(_msg("D", "a"), now=0)
-    decision, alerts = node.receive(_msg("X", "b"), now=1)
+    node.receive(_msg("D", "a"))
+    decision, alerts = node.receive(_msg("X", "b"))
     assert decision is None
     assert [a.kind for a in alerts] == [DISPUTED_SET]
     assert alerts[0].senders == ("b",)
     # the deciding receipt still differs from X, so it re-alerts the dispute
-    decision, alerts = node.receive(_msg("D", "c"), now=2)
+    decision, alerts = node.receive(_msg("D", "c"))
     assert decision.outcome is Outcome.ACCEPTED_WITH_DISPUTE
     assert decision.digest == "D"
     assert decision.divergent == ("b",)
@@ -74,8 +74,8 @@ def test_conflicting_receipt_disputes_then_majority_accepts():
 
 def test_duplicate_sender_counted_once():
     node = _node(min_identical=2)
-    node.receive(_msg("D", "a"), now=0)
-    decision, alerts = node.receive(_msg("D", "a"), now=1)
+    node.receive(_msg("D", "a"))
+    decision, alerts = node.receive(_msg("D", "a"))
     assert decision is None and alerts == []
     assert node.decision is None
 
@@ -83,10 +83,9 @@ def test_duplicate_sender_counted_once():
 def _assert_other_cycle_dropped(other):
     # a node decides its own cycle only: receipts for any other are dropped
     node = _node(min_identical=2, cycle=3)
-    assert node.receive(_msg("D", "a", cycle=other), now=0) == (None, [])
-    assert node.receive(_msg("D", "b", cycle=other), now=0) == (None, [])
+    assert node.receive(_msg("D", "a", cycle=other)) == (None, [])
+    assert node.receive(_msg("D", "b", cycle=other)) == (None, [])
     assert node.decision is None
-    assert node.deadline is None
     return node
 
 
@@ -104,28 +103,22 @@ def test_earlier_cycle_ignored():
 
 # --- timeout ---------------------------------------------------------------
 
-def test_no_receipts_never_times_out():
-    node = _node(timeout=5)
-    assert node.tick(now=10**6) == (None, [])
-    assert node.decision is None
-
-
 def test_timeout_breaks_cycle():
-    node = _node(min_identical=2, timeout=10)
-    node.receive(_msg("D", "a"), now=5)
-    assert node.tick(now=14) == (None, [])
-    decision, alerts = node.tick(now=15)
+    node = _node(min_identical=2)
+    node.receive(_msg("D", "a"))
+    decision, alerts = node.time_out()
     assert decision.outcome is Outcome.BROKEN
     assert decision.digest is None
     assert [a.kind for a in alerts] == [SYSTEM_CHECK]
     assert alerts[0].senders == (node.agency_id,)
+    assert node.decision is decision
 
 
-def test_tick_after_decision_is_noop():
-    node = _node(min_identical=2, timeout=10)
-    node.receive(_msg("D", "a"), now=0)
-    node.receive(_msg("D", "b"), now=7)
-    assert node.tick(now=100) == (None, [])
+def test_time_out_after_decision_is_noop():
+    node = _node(min_identical=2)
+    node.receive(_msg("D", "a"))
+    node.receive(_msg("D", "b"))
+    assert node.time_out() == (None, [])
     assert node.decision.outcome is Outcome.ACCEPTED
 
 
@@ -136,8 +129,8 @@ def test_tick_after_decision_is_noop():
 
 def test_forced_resolution_majority_and_tie_break():
     node = _node(min_identical=2, max_nonidentical=4)
-    node.receive(_msg("B", "a"), now=0)
-    node.receive(_msg("A", "b"), now=1)
+    node.receive(_msg("B", "a"))
+    node.receive(_msg("A", "b"))
     node._digest_weights = {"B": 2.0, "A": 2.0}
     node._digest_senders = {"B": ["a", "c"], "A": ["b", "d"]}
     decision = node._forced_resolution()
@@ -165,9 +158,9 @@ def test_por_weight_threshold_acceptance():
         agency_reputations={"x": 0.9, "y": 0.9, "z": 0.1},
     )
     node = AgencyNode("x", cfg)
-    assert node.receive(_msg("D", "x"), now=0)[0] is None   # 0.9
-    assert node.receive(_msg("D", "z"), now=1)[0] is None   # 1.0
-    decision, _ = node.receive(_msg("D", "y"), now=2)       # 1.9
+    assert node.receive(_msg("D", "x"))[0] is None   # 0.9
+    assert node.receive(_msg("D", "z"))[0] is None   # 1.0
+    decision, _ = node.receive(_msg("D", "y"))       # 1.9
     assert decision.outcome is Outcome.ACCEPTED
 
 
@@ -177,10 +170,10 @@ def test_por_low_reputation_divergent_cannot_block():
         agency_reputations={"x": 0.9, "y": 0.9, "z": 0.1},
     )
     node = AgencyNode("x", cfg)
-    node.receive(_msg("D", "x"), now=0)
-    _, alerts = node.receive(_msg("ZZZ", "z"), now=1)
+    node.receive(_msg("D", "x"))
+    _, alerts = node.receive(_msg("ZZZ", "z"))
     assert [a.kind for a in alerts] == [DISPUTED_SET]
-    decision, _ = node.receive(_msg("D", "y"), now=2)
+    decision, _ = node.receive(_msg("D", "y"))
     assert decision.outcome is Outcome.ACCEPTED_WITH_DISPUTE
     assert decision.divergent == ("z",)
 
@@ -191,8 +184,8 @@ def test_por_unknown_sender_weighs_one():
         agency_reputations={},
     )
     node = AgencyNode("x", cfg)
-    assert node.receive(_msg("D", "p"), now=0)[0] is None
-    decision, _ = node.receive(_msg("D", "q"), now=1)
+    assert node.receive(_msg("D", "p"))[0] is None
+    decision, _ = node.receive(_msg("D", "q"))
     assert decision.outcome is Outcome.ACCEPTED
 
 

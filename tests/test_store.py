@@ -136,16 +136,6 @@ def test_get_missing_timestamp(tmp_path):
         store.get(11)
 
 
-def test_history_inclusive_range(tmp_path):
-    store = LocalFileStore(tmp_path / "snaps")
-    for at in (10, 20, 30):
-        store.put(_state(at, {"a": at / 100.0}))
-    got = store.history(15, 30)
-    assert [s.at for s in got] == [20, 30]
-    assert store.history(0, 9) == []
-    assert [s.at for s in store.history(10, 10)] == [10]
-
-
 def test_local_store_survives_restart(tmp_path):
     root = tmp_path / "snaps"
     store = LocalFileStore(root)
@@ -159,7 +149,7 @@ def test_local_store_survives_restart(tmp_path):
     assert got.values == state.values
     assert reopened.latest().at == 20
 
-    # the index is built once, on open, from the snapshot names alone
+    # the newest timestamp is found once, on open, from the snapshot names alone
     reopened.put(_state(30, {"a": 0.5}))
     (root / "notes.csv").write_text("not a snapshot\n")
     (root / "x.tmp").write_text("half written\n")
@@ -168,8 +158,8 @@ def test_local_store_survives_restart(tmp_path):
     (root / "40.csv").write_bytes(serialize_state(_state(40, {"a": 0.75})))
     third = LocalFileStore(root)
     assert third.latest().values == {"a": 0.5}
-    assert [s.at for s in third.history(0, 100)] == [20, 30]
-    assert [s.at for s in third.history(21, 30)] == [30]
+    # an ordering error if 40.csv or the staged file had been taken as newest
+    third.put(_state(35, {"a": 0.5}))
     with pytest.raises(StoreOrderingError):
         third.put(_state(25, {"a": 0.5}))
     third.put(state)  # identical re-put of an older snapshot
@@ -178,10 +168,10 @@ def test_local_store_survives_restart(tmp_path):
         third.put(_state(20, {"a": 0.25}))
     with pytest.raises(StoreConflictError):
         third.put(_state(30, {"a": 0.25}))
-    assert third.latest().at == 30
+    assert third.latest().at == 35
     assert sorted(p.name for p in root.iterdir()) == [
-        f"{20:020d}.csv", f"{30:020d}.csv", f"{50:020d}.csv.partial", "40.csv", "notes.csv",
-        "x.tmp",
+        f"{20:020d}.csv", f"{30:020d}.csv", f"{35:020d}.csv", f"{50:020d}.csv.partial",
+        "40.csv", "notes.csv", "x.tmp",
     ]
 
 
@@ -204,10 +194,6 @@ def test_backend_equivalence_random_sequences(tmp_path):
             values = {f"p{i}": rng.random() for i in range(rng.randint(0, 5))}
             states[at] = _state(at, values)
             store.put(states[at])
-        lo, hi = rng.randint(0, 50), rng.randint(50, 120)
-        assert [serialize_state(s) for s in store.history(lo, hi)] == [
-            serialize_state(states[at]) for at in states if lo <= at <= hi
-        ]
         assert serialize_state(store.latest()) == serialize_state(states[max(states)])
         for at, state in states.items():
             assert store._read(at) == serialize_state(state)
