@@ -16,7 +16,7 @@ from pathlib import Path
 from types import MappingProxyType
 
 from .errors import ConfigError
-from .model import decode_input
+from .model import decode_input, text_lines
 
 
 def check_reputation(name: str, value: float) -> None:
@@ -121,13 +121,12 @@ class ConsensusConfig:
 def parse_key_values(text: str) -> dict[str, str]:
     """Split flat config text into a key -> raw string map."""
     out: dict[str, str] = {}
-    # Lines end at "\n" only, as in logs and snapshots: a key may hold any
-    # other character str.splitlines() breaks on.
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(text_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
+            raw = raw.removesuffix("\n")
             raise ConfigError(f"expected 'key = value', got {raw!r}", lineno)
         key, _, value = line.partition("=")
         key = key.strip()
@@ -160,14 +159,15 @@ def _convert(key: str, raw: str, annotation: str):
         raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
 
 
-def _config_from_text(cls, text: str, kind: str, maps: dict[str, tuple[str, str]]):
-    """Build a ``cls`` from flat key=value text; building it runs its checks.
+def _load_config(cls, path: str | Path, kind: str, maps: dict[str, tuple[str, str]]):
+    """Build a ``cls`` from a flat key=value file; building it runs its checks.
 
     ``maps`` sends a dotted key prefix to the float map field it fills and
     to the name of what follows the dot, for the error on a bare prefix.
     """
     scalars = {f.name: f.type for f in fields(cls) if f.type in _SCALARS}
     values: dict = {}
+    text = decode_input(Path(path).read_bytes(), ConfigError)
     for key, raw in parse_key_values(text).items():
         prefix, dot, entry = key.partition(".")
         if dot and prefix in maps:
@@ -184,15 +184,11 @@ def _config_from_text(cls, text: str, kind: str, maps: dict[str, tuple[str, str]
 
 def load_engine_config(path: str | Path) -> EngineConfig:
     """Build a validated :class:`EngineConfig` from a key=value file."""
-    return _config_from_text(
-        EngineConfig, decode_input(Path(path).read_bytes(), ConfigError), "engine",
-        {"aspect_weight": ("aspect_weights", "aspect name")},
-    )
+    return _load_config(EngineConfig, path, "engine",
+                        {"aspect_weight": ("aspect_weights", "aspect name")})
 
 
 def load_consensus_config(path: str | Path) -> ConsensusConfig:
     """Build a validated :class:`ConsensusConfig` from a key=value file."""
-    return _config_from_text(
-        ConsensusConfig, decode_input(Path(path).read_bytes(), ConfigError), "consensus",
-        {"agency_reputation": ("agency_reputations", "agency id")},
-    )
+    return _load_config(ConsensusConfig, path, "consensus",
+                        {"agency_reputation": ("agency_reputations", "agency id")})

@@ -146,8 +146,8 @@ def differential_staked(
 ) -> dict[ParticipantId, float]:
     """Per-ratee differential from staked ratings in one window.
 
-    A stake with value 0 is a revoked endorsement and is ignored.  Ratees
-    whose ratings carry no backing at all are omitted from the result.
+    A stake counts only in its own window; a zero one contributes nothing and
+    revokes no earlier stake (ROADMAP item 10).  Unbacked ratees are omitted.
     """
     _require_kind(records, Kind.STAKE)
     live = [rec for rec in records if rec.value != 0.0]

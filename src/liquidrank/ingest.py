@@ -150,9 +150,8 @@ _decode_json = json.JSONDecoder(object_pairs_hook=_distinct_fields).decode
 
 def _parse_jsonl(text: str) -> list[RatingRecord]:
     records = []
-    # Lines end at "\n" only: a JSON string may hold U+2028 and other
-    # characters that str.splitlines() breaks on.  The "\n" is cut before
-    # json.loads, which would call it a control character in an open string.
+    # The "\n" is cut before json.loads, which would call it a control
+    # character in an open string.
     for line_num, line in enumerate(text_lines(text), start=1):
         raw = line.removesuffix("\n")
         if not raw.strip():

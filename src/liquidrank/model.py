@@ -9,8 +9,8 @@ order relies on code-point order matching UTF-8 byte order.
 :func:`check_participant_id` is that rule; rating records, snapshot rows
 and reference lists all go through it.  :func:`decode_input` decodes every
 input file, data and config alike, and translates no line ending;
-:func:`text_lines` splits a log or reference list into lines and
-:func:`csv_rows` splits the CSV ones into rows.
+:func:`text_lines` splits each log, snapshot, reference list and config
+into lines and :func:`csv_rows` splits the CSV ones into rows.
 """
 
 from __future__ import annotations
@@ -44,15 +44,20 @@ def decode_input(data: bytes, error: type[LiquidRankError] = RecordError) -> str
 
 
 _LINE = re.compile(r"[^\n]*\n|[^\n]+")
+_SLICE = 1 << 16  # characters per findall call, rounded up to a line end
 
 
 def text_lines(text: str) -> Iterator[str]:
     """The lines of ``text`` one at a time, each with its "\\n" if it has one.
 
-    Lines end at "\\n" only, as in ``io.StringIO(text).readlines()``, but no
-    copy of ``text`` is made: a StringIO holds 4 bytes per character.
+    Lines end at "\\n" only, as in ``io.StringIO(text).readlines()``, but
+    with no 4-byte-a-character copy of ``text``: one slice of lines at a time.
     """
-    return map(re.Match.group, _LINE.finditer(text))
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start + _SLICE - 1) + 1 or size
+        yield from _LINE.findall(text, start, end)
+        start = end
 
 
 def csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -91,8 +96,8 @@ class RatingRecord:
 
     ``value`` is the rating itself, in [-1, 1].  ``weight`` is the financial
     backing: staked amount for :data:`Kind.STAKE`, transaction value for
-    :data:`Kind.TRANSACTION`.  A stake with value 0 is a revoked endorsement
-    and contributes nothing to any differential.
+    :data:`Kind.TRANSACTION`.  A stake counts only in its own window; one with
+    value 0 contributes nothing and revokes no earlier stake (ROADMAP item 10).
 
     The constructor is written out, not generated, because it runs once per
     log line: it checks the fields and sets them with one local

@@ -42,7 +42,7 @@ from .errors import (
     StoreConflictError,
     StoreOrderingError,
 )
-from .model import ParticipantId, ReputationState, check_participant_id, decode_input
+from .model import ParticipantId, ReputationState, check_participant_id, decode_input, text_lines
 
 
 @contextmanager
@@ -134,28 +134,28 @@ def deserialize_state(data: bytes) -> ReputationState:
     Each id must pass ``model.check_participant_id`` and each value lie in
     [0, 1]; a bad row is a record error naming its line.
     """
-    # Rows end at "\n" only: ids may hold other characters splitlines() breaks
-    # on.  A CRLF row still parses because int() and float() strip the "\r".
-    lines = decode_input(data).split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if not lines:
+    lines = text_lines(decode_input(data))
+    header = next(lines, None)
+    if header is None:
         raise RecordError("empty snapshot", 1)
     try:
-        at = int(lines[0])
+        at = int(header)
     except ValueError:
-        raise RecordError(f"snapshot header {lines[0]!r} is not a timestamp", 1) from None
+        header = header.removesuffix("\n")
+        raise RecordError(f"snapshot header {header!r} is not a timestamp", 1) from None
     values: dict[str, float] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         pid, sep, raw = line.partition(",")
         if not sep:
+            line = line.removesuffix("\n")
             raise RecordError(f"malformed snapshot row {line!r}", lineno)
         check_participant_id(pid, "participant", lineno)
         if pid in values:
             raise RecordError(f"duplicate participant {pid!r}", lineno)
         try:
-            value = float(raw)
+            value = float(raw)  # float() and int() skip the "\n" and a CRLF's "\r"
         except ValueError:
+            raw = raw.removesuffix("\n")
             raise RecordError(f"reputation {raw!r} is not a number", lineno) from None
         if not 0.0 <= value <= 1.0:
             raise RecordError(f"reputation {value!r} outside [0, 1]", lineno)

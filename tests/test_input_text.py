@@ -1,25 +1,30 @@
 """How input bytes become text, lines and CSV rows.
 
 ``model.decode_input`` decodes every input file, ``model.text_lines``
-splits a log into lines and ``model.csv_rows`` reads CSV rows from those
-lines.  The references here are the readers they replace:
-``csv.reader(io.StringIO(text))`` for CSV rows and a ``text.split("\\n")``
-loop for JSONL lines.
+splits every input (log, snapshot, reference list, config) into lines one
+slice at a time, and ``model.csv_rows`` reads CSV rows from those lines.
+The references here are the readers they replace:
+``io.StringIO(text).readlines()`` for lines, ``csv.reader(io.StringIO(text))``
+for CSV rows and a ``text.split("\\n")`` loop for JSONL lines.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liquidrank import model
+from liquidrank.config import parse_key_values
 from liquidrank.errors import ConfigError, RecordError
 from liquidrank.ingest import parse_log
-from liquidrank.model import csv_rows, decode_input, text_lines
+from liquidrank.model import ReputationState, csv_rows, decode_input, text_lines
+from liquidrank.store import deserialize_state, serialize_state
 
 BOM = b"\xef\xbb\xbf"
 
@@ -111,8 +116,23 @@ def test_csv_cases_cover_errors_and_multiline_rows():
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.text(alphabet='ab,"\n\r\x0c\x1d\u2028\x85 ', max_size=40))
 def test_text_lines_and_csv_rows_match_stringio_on_any_text(text):
-    assert list(text_lines(text)) == io.StringIO(text).readlines()
+    lines = io.StringIO(text).readlines()
+    assert list(text_lines(text)) == lines
     assert _lazy_rows(text) == _stringio_rows(text)
+    # Tiny slices end a slice after nearly every line.
+    for size in (1, 2, 3, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "_SLICE", size)
+            assert list(text_lines(text)) == lines, size
+
+
+def test_text_lines_cuts_a_long_text_at_line_ends():
+    size = model._SLICE
+    rows = "".join(f"row {i}\n" for i in range(size // 4))
+    text = rows + "x" * (2 * size) + "\r\n\n\u2028\n" + rows + "no final line feed"
+    assert rows[size - 1] != "\n"  # the first slice boundary falls inside a line
+    assert len(text) > 5 * size
+    assert list(text_lines(text)) == io.StringIO(text).readlines()
 
 
 def test_csv_rows_holds_no_copy_of_the_text():
@@ -127,6 +147,23 @@ def test_csv_rows_holds_no_copy_of_the_text():
     finally:
         tracemalloc.stop()
     assert peak < len(text) / 4, f"{peak} bytes traced over a {len(text)}-char text"
+
+
+def test_deserialize_state_holds_no_list_of_the_rows():
+    draw = random.Random(7).random
+    state = ReputationState(500, {f"p{i:06d}": draw() for i in range(100_000)})
+    data = serialize_state(state)
+    tracemalloc.start()
+    try:
+        back = deserialize_state(data)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back == state
+    # Beyond the state it returns, a read holds the decoded text and one
+    # slice of lines: about 1.4 bytes a snapshot byte.  A list of every row
+    # as its own string makes that about 3.7.
+    assert peak - kept < 2.5 * len(data), f"{peak - kept} bytes over a {len(data)}-byte snapshot"
 
 
 # -- JSONL lines against the split("\n") loop --------------------------------
@@ -180,3 +217,19 @@ def test_jsonl_cases_cover_errors():
         "line 2: self-rating by 'b' is not allowed"
     )
     assert [r.rater for r in _jsonl(JSONL_CASES["u2028-in-ids"])[0]] == ["a\u2028b", "c"]
+
+
+# -- config lines --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("data, got", [
+    (b"a = 1\n\noops\nb = 2\n", "oops"),
+    (b"a = 1\r\n\r\noops\r\nb = 2\r\n", "oops\r"),
+    (BOM + b"a = 1\r\n\r\noops\r\nb = 2\r\n", "oops\r"),
+    (BOM + b"a = 1\n\noops", "oops"),
+])
+def test_config_line_without_equals_names_its_line(data, got):
+    # Lines end at "\n" only: a CRLF line keeps its "\r", and the BOM is no line.
+    with pytest.raises(ConfigError) as info:
+        parse_key_values(decode_input(data, ConfigError))
+    assert str(info.value) == f"line 3: expected 'key = value', got {got!r}"
