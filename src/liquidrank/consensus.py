@@ -50,9 +50,8 @@ class Outcome(str, enum.Enum):
 
 
 class StateDigest(NamedTuple):
-    """One agency's claim about the canonical state for a cycle."""
+    """One agency's claim about the canonical state, in the receiver's cycle."""
 
-    cycle: int
     digest: str
     sender: AgencyId
 
@@ -95,9 +94,8 @@ class AgencyNode:
 
     The simulator builds fresh nodes for every cycle: a cycle lasts long
     enough for every delivery and deadline of that cycle to land inside
-    it, so no receipt crosses a cycle boundary.  Receipts for another
-    cycle and from duplicate senders are ignored, and after a decision
-    the node ignores further receipts.
+    it, so no receipt crosses a cycle boundary.  The simulator alone
+    chooses which receipts reach a node; ``receive`` states its contract.
 
     The node keeps no clock: the simulator files each deadline and calls
     ``time_out`` when it falls, and it files deadlines only for nodes
@@ -112,7 +110,6 @@ class AgencyNode:
         self.decision: AgencyDecision | None = None
         self._digest_senders: dict[str, list[AgencyId]] = {}
         self._digest_weights: dict[str, float] = {}
-        self._seen_senders: set[AgencyId] = set()
         self._total_weight = 0.0
 
     def _sender_weight(self, sender: AgencyId) -> float:
@@ -121,12 +118,11 @@ class AgencyNode:
         return self.cfg.agency_reputations.get(sender, 1.0)
 
     def receive(self, msg: StateDigest) -> tuple[AgencyDecision | None, list[Alert]]:
-        """Process one digest receipt; returns (decision, alerts emitted)."""
-        if (msg.cycle != self.cycle or self.decision is not None
-                or msg.sender in self._seen_senders):
-            return None, []
-        self._seen_senders.add(msg.sender)
+        """Process one digest receipt; returns (decision, alerts emitted).
 
+        Call it only while the node is undecided, with at most one digest per
+        sender, all from the node's own cycle; the node checks none of this.
+        """
         alerts: list[Alert] = []
         self._digest_senders.setdefault(msg.digest, []).append(msg.sender)
         weight = self._sender_weight(msg.sender)
@@ -372,7 +368,7 @@ def run_simulation(
                 own_digest = _perturbed_digest(cycle, f"{sender}->{sender}")
             else:
                 own_digest = base_digest
-            own_msg = StateDigest(cycle, own_digest, sender)
+            own_msg = StateDigest(own_digest, sender)
             if fault != EQUIVOCATING:
                 log(TranscriptEvent(t0, "send", cycle, sender, digest=own_digest))
                 senders_of.setdefault(own_digest, []).append(sender)
@@ -385,7 +381,7 @@ def run_simulation(
                 msg = own_msg
                 if fault == EQUIVOCATING:
                     digest = _perturbed_digest(cycle, f"{sender}->{receiver}")
-                    msg = StateDigest(cycle, digest, sender)
+                    msg = StateDigest(digest, sender)
                     log(TranscriptEvent(t0, "send", cycle, sender, receiver, digest))
                     senders_of.setdefault(digest, []).append(sender)
                 at = t0 + randrange(delay_lo, delay_hi)
@@ -498,17 +494,6 @@ def _line(ev: TranscriptEvent, quote) -> str:
     )
 
 
-def transcript_line(ev: TranscriptEvent) -> str:
-    """``ev.to_json()`` as compact JSON with sorted keys and ASCII escapes.
-
-    Byte for byte ``json.dumps(ev.to_json(), sort_keys=True,
-    separators=(",", ":")) + "\\n"``, written key by key, the nested
-    decision and alert objects too: keys in sorted order and every
-    string quoted by the encoder's own ``encode_basestring_ascii``.
-    """
-    return _line(ev, encode_basestring_ascii)
-
-
 class _QuoteOnce(dict):
     """str -> its ``encode_basestring_ascii`` form, computed on first use."""
 
@@ -521,11 +506,12 @@ _CHUNK_LINES = 4096
 
 
 def export_transcript(events: list[TranscriptEvent], path: str | Path) -> None:
-    """Write one ``transcript_line`` per event, in transcript order.
+    """Write each event as the line ``json.dumps(ev.to_json(), sort_keys=True,
+    separators=(",", ":")) + "\\n"``, byte for byte, in transcript order.
 
-    Each distinct string (agency ids, digests, type names, notes) is
-    quoted once per call and reused from a table dropped when the call
-    returns; lines go to the file in chunks of ``_CHUNK_LINES``.
+    Each distinct string is quoted once per call by the encoder's own
+    ``encode_basestring_ascii`` and reused from a table dropped when the
+    call returns; lines go to the file in chunks of ``_CHUNK_LINES``.
     """
     quote = _QuoteOnce().__getitem__
     with open(path, "w", encoding="utf-8") as fh:

@@ -88,11 +88,12 @@ def _weighted_means(
     weight of each record.  Records whose backing (weight times rater
     reputation) is zero are skipped outright: they would contribute nothing
     to the sums, and skipping them also keeps a zero-reputation rater from
-    widening the aspect-weight sum.  One pass over the records sums each
-    group in record order, and groups come out in the order of their first
-    backed record.  Aspects are summed in sorted order, which fixes the
-    floating-point result.  A group whose backing total or mean overflows
-    is a record error: its value would be meaningless.
+    widening the aspect-weight sum.  A group whose aspect-weighted backing
+    underflows to zero is skipped too.  One pass sums each group in record
+    order, and groups come out in the order of their first backed record.
+    Aspects are summed in sorted order, which fixes the floating-point
+    result.  A group whose backing total or mean overflows is a record
+    error: its value would be meaningless.
     """
     reputation = prev.values.get
     default = cfg.default_reputation
@@ -123,6 +124,8 @@ def _weighted_means(
             numerator += h * by_aspect[aspect]
             aspect_total += h
         denominator = totals[key] * aspect_total if aspect_weighted else totals[key]
+        if denominator == 0.0:  # a subnormal backing times aspect weights below 1
+            continue
         mean = numerator / denominator
         if not (math.isfinite(denominator) and math.isfinite(mean)):
             ratee = next(rec.ratee for rec in records if group_key(rec) == key)

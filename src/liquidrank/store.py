@@ -138,11 +138,16 @@ def deserialize_state(data: bytes) -> ReputationState:
     header = next(lines, None)
     if header is None:
         raise RecordError("empty snapshot", 1)
+    # int() and float() also take "+", "_", other scripts' digits and space,
+    # which serialize_state never writes: a number may leave only its line end.
+    line_ends = ("\n", "\r\n", "")
     try:
         at = int(header)
     except ValueError:
+        at = None
+    if at is None or header.removeprefix(str(at)) not in line_ends:
         header = header.removesuffix("\n")
-        raise RecordError(f"snapshot header {header!r} is not a timestamp", 1) from None
+        raise RecordError(f"snapshot header {header!r} is not a timestamp", 1)
     values: dict[str, float] = {}
     for lineno, line in enumerate(lines, start=2):
         pid, sep, raw = line.partition(",")
@@ -153,12 +158,16 @@ def deserialize_state(data: bytes) -> ReputationState:
         if pid in values:
             raise RecordError(f"duplicate participant {pid!r}", lineno)
         try:
-            value = float(raw)  # float() and int() skip the "\n" and a CRLF's "\r"
+            value = float(raw)
         except ValueError:
-            raw = raw.removesuffix("\n")
-            raise RecordError(f"reputation {raw!r} is not a number", lineno) from None
-        if not 0.0 <= value <= 1.0:
+            value = None
+        if value is not None and not 0.0 <= value <= 1.0:
             raise RecordError(f"reputation {value!r} outside [0, 1]", lineno)
+        # After leading space, removeprefix keeps all of raw: no line end.
+        if (value is None or not raw.isascii() or "+" in raw or "_" in raw
+                or raw.removeprefix(raw.strip()) not in line_ends):
+            raw = raw.removesuffix("\n")
+            raise RecordError(f"reputation {raw!r} is not a number", lineno)
         values[pid] = value
     return ReputationState(at=at, values=values)
 

@@ -6,6 +6,7 @@ printed output are asserted directly.
 
 from __future__ import annotations
 
+import ast
 import errno
 import json
 import os
@@ -327,6 +328,10 @@ def test_failed_put_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
                  "line 1: invalid JSON: nested too deeply", id="jsonl-deep-nesting"),
     ("stats", "snapshot.csv", "10\na,0.9\nb,zero\n", "line 3: reputation 'zero' is not a number"),
     ("stats", "snapshot.csv", "x\na,0.5\n", "line 1: snapshot header 'x' is not a timestamp"),
+    ("stats", "snapshot.csv", "+5_0\np, 0.5 \nq,1_0e-1\r\n",
+     "line 1: snapshot header '+5_0' is not a timestamp"),
+    ("stats", "snapshot.csv", "5\np,0.5\nq,1_0e-1\r\n", r"line 3: reputation '1_0e-1\r' is not a number"),
+    ("stats", "snapshot.csv", "\u0665\np,\u0660.5\n", "line 1: snapshot header '\u0665' is not a timestamp"),
     ("stats", "snapshot.csv", "", "line 1: empty snapshot"),
 ])
 def test_bad_data_line_exits_1_with_its_line(tmp_path, capsys, command, name, text, message):
@@ -946,4 +951,20 @@ def test_import_surface():
         name for name in cli
         if name.partition(".")[0] not in sys.stdlib_module_names | {"liquidrank"}
     ]
+    assert foreign == []
+
+
+def test_tests_import_only_the_standard_library_pytest_and_the_package():
+    # The test extra is pytest alone: no test module may need anything else.
+    allowed = sys.stdlib_module_names | {"pytest", "liquidrank", "oracles"}
+    foreign = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            foreign += [(path.name, m) for m in modules if m.partition(".")[0] not in allowed]
     assert foreign == []

@@ -117,6 +117,14 @@ def test_staked_no_backing_omits_ratee():
     assert got == {}
 
 
+def test_underflowing_aspect_backing_omits_ratee():
+    # 5e-324 * 0.25 rounds to zero: the mean had a zero denominator
+    records = [_tx("j", "i", 0.5, weight=5e-324, aspect="s"), _tx("j", "k", 0.5)]
+    cfg = EngineConfig(aspect_weights={"s": 0.25})
+    got = differential_transactional(records, _state({"j": 1.0}), cfg)
+    assert got == {"k": 0.5}
+
+
 def test_staked_rejects_transaction_records():
     with pytest.raises(RecordError):
         differential_staked([_tx("j", "i", 1.0)], _state({}), EngineConfig())

@@ -5,7 +5,9 @@ splits every input (log, snapshot, reference list, config) into lines one
 slice at a time, and ``model.csv_rows`` reads CSV rows from those lines.
 The references here are the readers they replace:
 ``io.StringIO(text).readlines()`` for lines, ``csv.reader(io.StringIO(text))``
-for CSV rows and a ``text.split("\\n")`` loop for JSONL lines.
+for CSV rows and a ``text.split("\\n")`` loop for JSONL lines.  Lines and
+rows are compared on every text of up to two characters drawn from field
+and line separators, and on 300 seeded longer texts.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from liquidrank import model
 from liquidrank.config import parse_key_values
@@ -113,17 +113,31 @@ def test_csv_cases_cover_errors_and_multiline_rows():
     ], None)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.text(alphabet='ab,"\n\r\x0c\x1d\u2028\x85 ', max_size=40))
-def test_text_lines_and_csv_rows_match_stringio_on_any_text(text):
-    lines = io.StringIO(text).readlines()
-    assert list(text_lines(text)) == lines
-    assert _lazy_rows(text) == _stringio_rows(text)
-    # Tiny slices end a slice after nearly every line.
-    for size in (1, 2, 3, 7):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(model, "_SLICE", size)
-            assert list(text_lines(text)) == lines, size
+_ALPHABET = 'ab,"\n\r\x0c\x1d\u2028\x85 '
+
+
+def _texts():
+    """Every text of up to two characters, then 300 seeded ones of up to 40."""
+    yield ""
+    for a in _ALPHABET:
+        yield a
+        for b in _ALPHABET:
+            yield a + b
+    rng = random.Random(11)
+    for _ in range(300):
+        yield "".join(rng.choices(_ALPHABET, k=rng.randint(0, 40)))
+
+
+def test_text_lines_and_csv_rows_match_stringio_on_any_text(monkeypatch):
+    for text in _texts():
+        lines = io.StringIO(text).readlines()
+        assert list(text_lines(text)) == lines, text
+        assert _lazy_rows(text) == _stringio_rows(text), text
+        # Tiny slices end a slice after nearly every line.
+        for size in (1, 2, 3, 7):
+            monkeypatch.setattr(model, "_SLICE", size)
+            assert list(text_lines(text)) == lines, (text, size)
+        monkeypatch.undo()
 
 
 def test_text_lines_cuts_a_long_text_at_line_ends():

@@ -53,7 +53,8 @@ def test_roundtrip_identity():
         values.update((pid, rng.random()) for pid in rng.sample(odd_ids, rng.randint(0, 2)))
         state = _state(rng.randint(0, 10**9), values)
         data = serialize_state(state)
-        for encoded in (data, data.replace(b"\n", b"\r\n")):
+        crlf = data.replace(b"\n", b"\r\n")
+        for encoded in (data, data[:-1], crlf, crlf[:-2], b"\xef\xbb\xbf" + crlf):
             back = deserialize_state(encoded)
             assert back.at == state.at
             assert back.values == state.values  # full precision
@@ -80,6 +81,20 @@ def test_deserialize_rejects_garbage():
         deserialize_state(b"5\na,0.5\na,0.6\n")  # duplicate
     with pytest.raises(RecordError, match="line 2"):
         deserialize_state(b"5\na\rb,0.5\n")  # an id no record may carry
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"+5_0\np, 0.5 \nq,1_0e-1\r\n", 1),
+    ("\u0665\np,0.5\n".encode(), 1),  # an Arabic-Indic five
+    (b"05\n", 1), (b"-0\n", 1), (b" 5\n", 1), (b"5 \r\n", 1), (b"5\r", 1),
+    (b"5\np,+0.5\n", 2), (b"5\np,1_0e-1\n", 2), (b"5\np, 0.5\n", 2), (b"5\np,0.5\t\n", 2),
+    (b"5\np,0.5\r\r\n", 2), (b"5\np,0.5\r", 2), (b"5\np,0.5 ", 2),
+    ("5\np,\u0660.5\n".encode(), 2), ("5\np,0.5\nq,0.5\u00a0\n".encode(), 3),
+])
+def test_deserialize_reads_numbers_only_as_serialized(data, line):
+    # int() and float() accept every one of these numbers.
+    with pytest.raises(RecordError, match=f"^line {line}: "):
+        deserialize_state(data)
 
 
 def test_digest_matches_for_equal_states_only():
