@@ -18,6 +18,7 @@ same inputs and seed, same transcript bytes.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -238,6 +239,11 @@ class TranscriptEvent(NamedTuple):
         return out
 
 
+# Builds a TranscriptEvent from all eight fields in one tuple, in C: the
+# NamedTuple's own ``__new__`` is a Python function with keyword defaults.
+_event = functools.partial(tuple.__new__, TranscriptEvent)
+
+
 @dataclass(frozen=True)
 class NetworkModel:
     """Per-link delivery model: uniform integer delay plus a drop chance."""
@@ -301,11 +307,21 @@ def run_simulation(
     nothing, divergent ones broadcast a digest of a forked state, and
     equivocating ones send a different forked digest to every peer.
     Delivery order is deterministic: events are processed by (tick,
-    send order), and all randomness comes from ``seed``.  A node's
-    deadline is its first delivery plus ``cfg.timeout``, so only the ticks
-    holding a delivery or a deadline are visited: each delivers to its
-    undecided receivers in send order, then times out, in agency-id
-    order, the nodes whose deadline it is.
+    send order), and all randomness comes from ``random.Random(seed)``.
+    Each send to another agency, in send order, draws two things:
+
+    - first its delay, ``delay_min + r``.  With ``w = delay_max -
+      delay_min + 1`` and ``k = w.bit_length()``, ``r`` is the first
+      ``getrandbits(k)`` below ``w``.  That is the loop
+      ``Random.randrange(w)`` runs on CPython 3.10-3.13, so the stream
+      is the one ``randint(delay_min, delay_max)`` draws there;
+    - then one ``random()``, which drops the message when it is below
+      ``drop_rate``.
+
+    A node's deadline is its first delivery plus ``cfg.timeout``, so only
+    the ticks holding a delivery or a deadline are visited: each delivers
+    to its undecided receivers in send order, then times out, in
+    agency-id order, the nodes whose deadline it is.
 
     A cycle's reward goes to the first ``reward_slots`` senders of the
     digest most agencies accepted (ties to the smallest digest), in
@@ -329,9 +345,9 @@ def run_simulation(
         check_fault_kind(kind)
 
     rng = random.Random(seed)
-    # randint(a, b) is randrange(a, b + 1): the same draws, one call less.
-    randrange, draw = rng.randrange, rng.random
-    delay_lo, delay_hi = network.delay_min, network.delay_max + 1
+    getrandbits, draw = rng.getrandbits, rng.random
+    width = network.delay_max - network.delay_min + 1
+    bits = width.bit_length()
     drop_rate = network.drop_rate
     events: list[TranscriptEvent] = []
     log = events.append
@@ -341,15 +357,15 @@ def run_simulation(
 
     def log_node_output(now, aid, decision, alerts):
         for alert in alerts:
-            log(TranscriptEvent(now, "alert", alert.cycle, aid, alert=alert))
+            log(_event((now, "alert", alert.cycle, aid, None, None, None, alert)))
         if decision is not None:
-            log(TranscriptEvent(
-                now, "decision", decision.cycle, aid,
-                digest=decision.digest, decision=decision,
-            ))
+            log(_event((
+                now, "decision", decision.cycle, aid, None, decision.digest, decision, None,
+            )))
 
     for cycle in range(cycles):
         t0 = cycle * period
+        t_lo = t0 + network.delay_min
         nodes = {aid: AgencyNode(aid, cfg, cycle) for aid in ids}
         base_digest = state_digest(_cycle_base_state(cycle))
         # digest -> the agencies that sent it, in send order (agency-id order).
@@ -370,7 +386,7 @@ def run_simulation(
                 own_digest = base_digest
             own_msg = StateDigest(own_digest, sender)
             if fault != EQUIVOCATING:
-                log(TranscriptEvent(t0, "send", cycle, sender, digest=own_digest))
+                log(_event((t0, "send", cycle, sender, None, own_digest, None, None)))
                 senders_of.setdefault(own_digest, []).append(sender)
 
             # A sender's own digest counts as a receipt at send time.
@@ -382,12 +398,14 @@ def run_simulation(
                 if fault == EQUIVOCATING:
                     digest = _perturbed_digest(cycle, f"{sender}->{receiver}")
                     msg = StateDigest(digest, sender)
-                    log(TranscriptEvent(t0, "send", cycle, sender, receiver, digest))
+                    log(_event((t0, "send", cycle, sender, receiver, digest, None, None)))
                     senders_of.setdefault(digest, []).append(sender)
-                at = t0 + randrange(delay_lo, delay_hi)
+                r = getrandbits(bits)  # randrange(width), inlined: see above
+                while r >= width:
+                    r = getrandbits(bits)
                 if draw() < drop_rate:
                     continue
-                deliveries.setdefault(at, []).append((receiver, msg))
+                deliveries.setdefault(t_lo + r, []).append((receiver, msg))
 
         # A node's first delivery starts its clock, so each deadline is
         # filed, by agency id, before the first receipt.
@@ -400,7 +418,7 @@ def run_simulation(
             due.setdefault(at + cfg.timeout, []).append(aid)
         for now in sorted(deliveries.keys() | due.keys()):
             for receiver, msg in deliveries.get(now, ()):
-                log(TranscriptEvent(now, "receive", cycle, msg.sender, receiver, msg.digest))
+                log(_event((now, "receive", cycle, msg.sender, receiver, msg.digest, None, None)))
                 node = nodes[receiver]
                 if node.decision is not None:
                     continue
@@ -484,6 +502,11 @@ _RECEIVER, _SENDER = ',"receiver":', ',"sender":'
 
 def _line(ev: TranscriptEvent, quote) -> str:
     tick, type_, cycle, sender, receiver, digest, decision, alert = ev
+    # Every receipt and every equivocating send has this one shape.
+    if (receiver is not None and sender is not None and digest is not None
+            and decision is None and alert is None):
+        return (f'{{"cycle":{cycle},"digest":{quote(digest)},"receiver":{quote(receiver)},'
+                f'"sender":{quote(sender)},"tick":{tick},"type":{quote(type_)}}}\n')
     return (
         f'{"{" if alert is None else _ALERT + _alert_json(alert, quote) + ","}"cycle":{cycle}'
         f'{"" if decision is None else _DECISION + _decision_json(decision, quote)}'

@@ -111,21 +111,26 @@ def serialize_state(
     ``state`` must have the value it had in that previous call.  Without it
     every row is rendered.
     """
-    if cache is None:
-        cache = RowCache()
     values = state.values
-    rows = cache.rows
-    stale = list(values if touched is None else touched)
-    new = [pid for pid in stale if pid not in rows]
-    if len(rows) + len(new) != len(values):  # an id has gone, or an untouched one is missing
-        cache.clear()
-        stale = new = list(values)
-    for pid in stale:
-        rows[pid] = f"{pid},{values[pid]!r}\n"
-    if new:
-        cache.order.extend(new)
-        cache.order.sort()  # the kept ids are one sorted run
-    return (f"{state.at!s}\n" + "".join(map(rows.__getitem__, cache.order))).encode("utf-8")
+    if cache is None:
+        body = _render_rows(values, sorted(values))
+    else:
+        rows = cache.rows
+        stale = list(values if touched is None else touched)
+        new = [pid for pid in stale if pid not in rows]
+        if len(rows) + len(new) != len(values):  # an id has gone, or an untouched one is missing
+            cache.clear()
+            stale = new = list(values)
+        rows.update(zip(stale, _render_rows(values, stale)))
+        if new:
+            cache.order.extend(new)
+            cache.order.sort()  # the kept ids are one sorted run
+        body = map(rows.__getitem__, cache.order)
+    return (f"{state.at!s}\n" + "".join(body)).encode("utf-8")
+
+
+def _render_rows(values: dict[ParticipantId, float], ids: list[ParticipantId]) -> list[str]:
+    return [f"{pid},{values[pid]!r}\n" for pid in ids]
 
 
 def deserialize_state(data: bytes) -> ReputationState:

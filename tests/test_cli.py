@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import ast
 import errno
+import gc
 import json
 import os
 import random
@@ -24,6 +25,7 @@ from liquidrank import cli, consensus, store
 from liquidrank.cli import main
 from liquidrank.evaluate import distribution_stats, pearson
 from liquidrank.store import load_snapshot
+from liquidrank.synth import lognormal_transaction_community
 
 
 _LOG_3 = (
@@ -47,6 +49,11 @@ def _run(capsys, *argv):
 
 def _snapshot_names(out_dir):
     return sorted(p.name for p in (out_dir / "snapshots").glob("*.csv"))
+
+
+def _src_env():
+    src = Path(liquidrank.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=str(src))
 
 
 def _tree_bytes(root):
@@ -119,10 +126,9 @@ def test_compute_stdout_is_utf8_whatever_the_locale(tmp_path):
     # still gets the UTF-8 ranking, and exit 0; error lines are UTF-8 too.
     good = _write(tmp_path / "ratings.csv", "alé,böb,transaction,,,1.0,1,,100\n")
     bad = _write(tmp_path / "self.csv", "alé,alé,transaction,,,1.0,1,,100\n")
-    src = Path(liquidrank.__file__).resolve().parents[1]
     runs = {}
     for encoding in ("utf-8", "ascii", "latin-1"):
-        env = dict(os.environ, PYTHONPATH=str(src), PYTHONIOENCODING=encoding)
+        env = dict(_src_env(), PYTHONIOENCODING=encoding)
         ok, failed = (
             subprocess.run(
                 [sys.executable, "-m", "liquidrank.cli", "compute", "--log", log,
@@ -866,6 +872,11 @@ def test_each_config_check_exits_2_with_its_message(tmp_path, capsys, command, c
     (["--por", "--min-identical", "0"], "min_identical weight threshold must be positive"),
     (["--faulty", "bogus:1"],
      "unknown fault kind 'bogus'; expected one of silent, divergent, equivocating"),
+    (["--delay-min", "3", "--delay-max", "1"], "need 0 <= delay_min <= delay_max"),
+    (["--delay-min", "-1"], "need 0 <= delay_min <= delay_max"),
+    (["--drop-rate", "1.0"], "drop_rate must lie in [0, 1)"),
+    (["--drop-rate", "-0.1"], "drop_rate must lie in [0, 1)"),
+    (["--drop-rate", "nan"], "drop_rate must lie in [0, 1)"),
 ])
 def test_simulate_bad_override_flag_exits_2(tmp_path, capsys, flags, message):
     out = tmp_path / "sim"
@@ -891,14 +902,12 @@ def test_simulate_flags_override_the_config_file(tmp_path, capsys):
 def test_simulate_huge_delay_range_finishes(tmp_path):
     # The loop visits only ticks with a delivery or a timeout deadline, so
     # a delay range of 10^12 ticks costs what a range of 3 does.
-    src = Path(liquidrank.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
     out = tmp_path / "sim"
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "liquidrank.cli", "simulate", "--agencies", "4",
          "--cycles", "3", "--delay-max", "1000000000000", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=30,
+        env=_src_env(), capture_output=True, text=True, timeout=30,
     )
     elapsed = time.perf_counter() - start
     assert proc.returncode == 0, proc.stderr
@@ -926,14 +935,89 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
     assert exc.value.code == 2
 
 
+# -- the cyclic collector ----------------------------------------------------
+
+# Runs ``main`` with the collector off from the start and prints its exit
+# code, what ``gc.collect()`` then finds, and whether the collector is on.
+_GC_PROBE = """
+import contextlib, gc, io, sys
+gc.disable()
+from liquidrank.cli import main
+gc.collect()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, gc.collect(), gc.isenabled())
+"""
+
+
+def _unreachable_after_main(argv):
+    proc = subprocess.run([sys.executable, "-c", _GC_PROBE, *argv], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, found, enabled = proc.stdout.split()
+    assert (code, enabled) == ("0", "False")
+    return int(found)
+
+
+@pytest.mark.parametrize("window", ["tx", "period:100"])
+def test_compute_builds_no_cycles_that_grow_with_the_log(tmp_path, window):
+    # The console script runs with the collector off; that is only safe
+    # while the garbage cycles a command leaves do not grow with its input.
+    small = _write(tmp_path / "small.csv", _LOG_3)
+    records = lognormal_transaction_community(n_participants=200, n_ratings=2000, seed=5)
+    large = _write(tmp_path / "large.csv", "".join(
+        f"{r.rater},{r.ratee},{r.kind.value},,,{r.value!r},{r.weight!r},,{r.timestamp}\n"
+        for r in records
+    ))
+    found = [
+        _unreachable_after_main(["compute", "--log", log, "--window", window,
+                                 "--out", str(tmp_path / f"out{i}")])
+        for i, log in enumerate((small, large))
+    ]
+    assert found[0] == found[1]
+
+
+def test_simulate_builds_no_cycles_that_grow_with_the_run(tmp_path):
+    found = [
+        _unreachable_after_main(["simulate", "--agencies", "7", "--cycles", cycles,
+                                 "--faulty", "divergent:1,equivocating:1,silent:1",
+                                 "--delay-max", "3", "--drop-rate", "0.1",
+                                 "--out", str(tmp_path / f"sim{cycles}")])
+        for cycles in ("2", "40")
+    ]
+    assert found[0] == found[1]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code, _, _ = _run(capsys, "simulate", "--agencies", "4", "--cycles", "2",
+                          "--out", str(tmp_path / "sim"))
+        assert (code, gc.isenabled()) == (0, enabled)
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_console_script_runs_main_with_the_collector_off():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import gc\n"
+         "from liquidrank import cli\n"
+         "cli.main = lambda: print(gc.isenabled()) or 0\n"
+         "cli.run()\n"],
+        env=_src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 # -- dependencies ------------------------------------------------------------
 
 
 def test_import_surface():
     # The package root loads no submodule, and the CLI loads nothing from
     # outside the standard library.
-    src = Path(liquidrank.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
         [sys.executable, "-c",
          "import json, sys\n"
@@ -942,7 +1026,7 @@ def test_import_surface():
          "root = set(sys.modules) - before\n"
          "import liquidrank.cli\n"
          "print(json.dumps([sorted(root), sorted(set(sys.modules) - before)]))\n"],
-        env=env, check=True, timeout=60, capture_output=True, text=True,
+        env=_src_env(), check=True, timeout=60, capture_output=True, text=True,
     ).stdout
     root, cli = json.loads(out)
     assert root == ["liquidrank"]

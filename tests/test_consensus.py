@@ -295,6 +295,44 @@ def test_seed_changes_lossy_delivery_pattern(tmp_path):
     assert receipts_a != receipts_b
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 10, 10**12])
+def test_delays_and_drops_replay_from_the_seed(width):
+    # The rule run_simulation's docstring states, replayed from a fresh
+    # stream: per send to another agency, in send order, the first
+    # getrandbits(k) below the width, then one random() for the drop.
+    delay_min, drop_rate, seed, cycles = 2, 0.3, 1000 + width, 4
+    network = NetworkModel(delay_min, delay_min + width - 1, drop_rate)
+    faulty = {"a00": SILENT, "a01": EQUIVOCATING, "a02": DIVERGENT}
+    result = run_simulation(6, faulty=faulty, cycles=cycles, network=network, seed=seed)
+    t0: dict[int, int] = {}
+    receipts = {}
+    for ev in result.events:
+        if ev.type == "send":
+            t0.setdefault(ev.cycle, ev.tick)
+        elif ev.type == "receive" and ev.sender != ev.receiver:
+            receipts[ev.cycle, ev.sender, ev.receiver] = ev.tick
+
+    rng = random.Random(seed)
+    k = width.bit_length()
+    expected = {}
+    sends = 0
+    for cycle in range(cycles):
+        for sender in result.agency_ids:
+            if faulty.get(sender) == SILENT:
+                continue
+            for receiver in result.agency_ids:
+                if receiver == sender:
+                    continue
+                sends += 1
+                r = rng.getrandbits(k)
+                while r >= width:
+                    r = rng.getrandbits(k)
+                if rng.random() >= drop_rate:
+                    expected[cycle, sender, receiver] = t0[cycle] + delay_min + r
+    assert receipts == expected
+    assert 0 < len(expected) < sends
+
+
 def test_por_degeneracy_matches_unweighted_counts(tmp_path):
     base_cfg = ConsensusConfig(min_identical=3, max_nonidentical=5)
     por_cfg = ConsensusConfig(
