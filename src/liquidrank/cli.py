@@ -10,42 +10,64 @@ Subcommands:
 
 Exit codes: 0 success, 1 invalid input data, 2 configuration errors,
 3 undefined correlation.
+
+Importing this module loads only ``argparse`` and the error types; each
+command imports the modules it runs, so a run pays for compiling and
+loading nothing it does not use.  Five names stay module attributes all
+the same: ``run_windows``, ``load_log``, ``load_snapshot``, ``pearson``
+and ``distribution_stats``.  ``perfbench/tracing.py`` times a layer by
+replacing its name here, so each is bound on first access through
+``__getattr__`` and the commands call them as attributes of this module.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
+import importlib
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from . import consensus
-from .config import (
-    ConsensusConfig,
-    EngineConfig,
-    check_reputation,
-    load_consensus_config,
-    load_engine_config,
-)
-from .engine import run_windows
 from .errors import (
     ConfigError,
     CorrelationUndefinedError,
     LiquidRankError,
     RecordError,
 )
-from .evaluate import distribution_stats, load_reference_list, pearson
-from .ingest import load_log, window_mode_from_spec
-from .model import ReputationState
-from .store import LocalFileStore, load_snapshot, replacing
+
+# name -> the module that defines it; see the module docstring.
+_TRACED = {
+    "run_windows": "engine",
+    "load_log": "ingest",
+    "load_snapshot": "store",
+    "pearson": "evaluate",
+    "distribution_stats": "evaluate",
+}
+
+
+def __getattr__(name: str):
+    if name not in _TRACED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_TRACED[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+# The commands call the names above through this, so a replaced name is seen.
+_cli = sys.modules[__name__]
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
+    import json
+
+    from .config import EngineConfig, load_engine_config
+    from .ingest import window_mode_from_spec
+    from .model import ReputationState
+    from .store import LocalFileStore, replacing
+
     cfg = load_engine_config(args.config) if args.config else EngineConfig()
     mode = window_mode_from_spec(args.window)
-    records = load_log(args.log)
+    records = _cli.load_log(args.log)
     t_origin = args.origin
     if t_origin is None:
         t_origin = min((rec.timestamp for rec in records), default=0)
@@ -60,7 +82,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     try:
         with (replacing(out_dir / "differentials.jsonl") as (staged,),
               open(staged, "w", encoding="utf-8") as audit):
-            for _, state, diff in run_windows(records, mode, t_origin, cfg):
+            for _, state, diff in _cli.run_windows(records, mode, t_origin, cfg):
                 written.append(store.put(state, diff.normalized))
                 final = state
                 audit.write(json.dumps({**vars(diff), "window": vars(diff.window)}, sort_keys=True))
@@ -77,6 +99,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def _parse_faulty_spec(spec: str, ids: list[str]) -> dict[str, str]:
     """Fault spec: comma-separated kind[:count]; assigned to the lowest ids."""
+    from .consensus import check_fault_kind
+
     out: dict[str, str] = {}
     if not spec or spec == "none":
         return out
@@ -84,12 +108,13 @@ def _parse_faulty_spec(spec: str, ids: list[str]) -> dict[str, str]:
     for part in spec.split(","):
         kind, sep, count_raw = part.partition(":")
         kind = kind.strip()
-        consensus.check_fault_kind(kind)
+        check_fault_kind(kind)
         if sep:
-            try:
-                count = int(count_raw)
-            except ValueError:
-                raise ConfigError(f"fault count {count_raw!r} is not an integer") from None
+            # int() also reads "1_0", "+1", " 1" and other scripts' digits.
+            digits = count_raw.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
+                raise ConfigError(f"fault count {count_raw!r} is not an integer")
+            count = int(count_raw)
             if count < 0:
                 raise ConfigError("fault count must be non-negative")
         else:
@@ -103,6 +128,13 @@ def _parse_faulty_spec(spec: str, ids: list[str]) -> dict[str, str]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    import json
+    from dataclasses import replace
+
+    from . import consensus
+    from .config import ConsensusConfig, load_consensus_config
+    from .store import replacing
+
     cfg = load_consensus_config(args.config) if args.config else ConsensusConfig()
     flags = {"min_identical": args.min_identical, "max_nonidentical": args.max_nonidentical,
              "timeout": args.timeout, "por_weighted": True if args.por else None}
@@ -144,10 +176,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .config import check_reputation
+    from .evaluate import load_reference_list
+
     check_reputation("--default-reputation", args.default_reputation)
-    state = load_snapshot(args.snapshot)
+    state = _cli.load_snapshot(args.snapshot)
     reference = load_reference_list(args.reference)
-    r = pearson(
+    r = _cli.pearson(
         reference, state,
         default_reputation=args.default_reputation,
         include_missing=not args.strict_missing,
@@ -157,10 +192,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    state = load_snapshot(args.snapshot)
+    state = _cli.load_snapshot(args.snapshot)
     if not state.values:
         raise RecordError(f"snapshot {args.snapshot} holds no participants")
-    stats = distribution_stats(state)
+    stats = _cli.distribution_stats(state)
     print(f"participants {len(state.values)}")
     print(f"gini {stats.gini:.6f}")
     print(f"top_share {stats.top_share:.6f}")
@@ -173,9 +208,12 @@ def _dot_quote(token: str) -> str:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    from .config import check_reputation
+    from .store import replacing
+
     check_reputation("--default-reputation", args.default_reputation)
-    state = load_snapshot(args.snapshot)
-    records = load_log(args.log)
+    state = _cli.load_snapshot(args.snapshot)
+    records = _cli.load_log(args.log)
     values = state.values
     edges: dict[tuple[str, str], int] = {}
     # Popping frees each record as it is counted, so the edge keys reuse its

@@ -30,7 +30,6 @@ every row, so the bytes never depend on the cache.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -179,6 +178,8 @@ def deserialize_state(data: bytes) -> ReputationState:
 
 def state_digest(state: ReputationState) -> str:
     """Hex digest of the canonical snapshot bytes."""
+    import hashlib
+
     return hashlib.sha256(serialize_state(state)).hexdigest()
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import ast
 import errno
 import gc
+import importlib
 import json
 import os
 import random
@@ -877,6 +878,13 @@ def test_each_config_check_exits_2_with_its_message(tmp_path, capsys, command, c
     (["--drop-rate", "1.0"], "drop_rate must lie in [0, 1)"),
     (["--drop-rate", "-0.1"], "drop_rate must lie in [0, 1)"),
     (["--drop-rate", "nan"], "drop_rate must lie in [0, 1)"),
+    # A fault count is read only as ASCII digits, where int() takes more.
+    (["--faulty", "divergent:1_0"], "fault count '1_0' is not an integer"),
+    (["--faulty", "divergent:+1"], "fault count '+1' is not an integer"),
+    (["--faulty", "divergent: 1"], "fault count ' 1' is not an integer"),
+    (["--faulty", "divergent:1 "], "fault count '1 ' is not an integer"),
+    (["--faulty", "divergent:\u0661"], "fault count '\u0661' is not an integer"),
+    (["--faulty", "divergent:-1"], "fault count must be non-negative"),
 ])
 def test_simulate_bad_override_flag_exits_2(tmp_path, capsys, flags, message):
     out = tmp_path / "sim"
@@ -1015,27 +1023,104 @@ def test_console_script_runs_main_with_the_collector_off():
 # -- dependencies ------------------------------------------------------------
 
 
-def test_import_surface():
-    # The package root loads no submodule, and the CLI loads nothing from
-    # outside the standard library.
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import json, sys\n"
-         "before = set(sys.modules)\n"
-         "import liquidrank\n"
-         "root = set(sys.modules) - before\n"
-         "import liquidrank.cli\n"
-         "print(json.dumps([sorted(root), sorted(set(sys.modules) - before)]))\n"],
-        env=_src_env(), check=True, timeout=60, capture_output=True, text=True,
-    ).stdout
-    root, cli = json.loads(out)
-    assert root == ["liquidrank"]
-    assert "liquidrank.cli" in cli
-    foreign = [
-        name for name in cli
-        if name.partition(".")[0] not in sys.stdlib_module_names | {"liquidrank"}
-    ]
-    assert foreign == []
+def _tiny_commands(tmp_path):
+    """Arguments that run each command to exit 0 on a 3-line input."""
+    log = _write(tmp_path / "ratings.csv", _LOG_3)
+    snapshot = _write(tmp_path / "snapshot.csv", "300\nalice,0.25\nbob,1.0\ncarol,0.0\n")
+    labels = _write(tmp_path / "labels.csv", "alice,0\nbob,1\ncarol,1\n")
+    return {
+        "compute": ["--log", log, "--window", "tx", "--out", str(tmp_path / "compute")],
+        "simulate": ["--agencies", "3", "--cycles", "1", "--out", str(tmp_path / "simulate")],
+        "validate": ["--snapshot", snapshot, "--reference", labels],
+        "stats": ["--snapshot", snapshot],
+        "export": ["--snapshot", snapshot, "--log", log, "--out", str(tmp_path / "graph.dot")],
+    }
+
+
+_SURFACE_SCRIPT = (
+    "import json, sys\n"
+    "before = set(sys.modules)\n"
+    "import liquidrank\n"
+    "root = set(sys.modules) - before\n"
+    "import liquidrank.cli\n"
+    "bare = set(sys.modules) - before\n"
+    "code = liquidrank.cli.main(sys.argv[1:])\n"
+    "print(json.dumps([code, sorted(root), sorted(bare), sorted(set(sys.modules) - before)]))\n"
+)
+
+# command -> modules it must not load
+_NOT_LOADED = {
+    "compute": {"liquidrank.consensus", "liquidrank.evaluate", "hashlib"},
+    "simulate": {"liquidrank.engine", "liquidrank.ingest", "liquidrank.evaluate"},
+    "validate": {"liquidrank.consensus", "liquidrank.engine", "liquidrank.ingest", "hashlib"},
+    "stats": {"liquidrank.consensus", "liquidrank.engine", "liquidrank.ingest", "hashlib"},
+    "export": {"liquidrank.consensus", "liquidrank.engine", "liquidrank.evaluate"},
+}
+
+
+def test_import_surface(tmp_path):
+    # The package root loads no submodule, the CLI alone loads only the
+    # error types, and each command, run in a fresh interpreter, loads only
+    # the modules it runs and nothing from outside the standard library.
+    for command, argv in _tiny_commands(tmp_path).items():
+        out = subprocess.run(
+            [sys.executable, "-c", _SURFACE_SCRIPT, command, *argv],
+            env=_src_env(), check=True, timeout=60, capture_output=True, text=True,
+        ).stdout
+        code, root, bare, loaded = json.loads(out.splitlines()[-1])
+        assert code == 0, command
+        assert root == ["liquidrank"]
+        assert [m for m in bare if m.partition(".")[0] == "liquidrank"] == [
+            "liquidrank", "liquidrank.cli", "liquidrank.errors"]
+        assert _NOT_LOADED[command] & set(loaded) == set(), command
+        foreign = [
+            name for name in loaded
+            if name.partition(".")[0] not in sys.stdlib_module_names | {"liquidrank"}
+        ]
+        assert foreign == [], command
+
+
+# perfbench/tracing.py times these layers by replacing the names on the cli
+# module, so each must be a module attribute that the commands call through.
+_TRACED = {
+    "run_windows": "liquidrank.engine",
+    "load_log": "liquidrank.ingest",
+    "load_snapshot": "liquidrank.store",
+    "pearson": "liquidrank.evaluate",
+    "distribution_stats": "liquidrank.evaluate",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRACED))
+def test_traced_name_is_a_cli_attribute_before_any_command_runs(monkeypatch, name):
+    monkeypatch.delitem(vars(cli), name, raising=False)
+    assert getattr(cli, name) is getattr(importlib.import_module(_TRACED[name]), name)
+    with pytest.raises(AttributeError):
+        cli.not_a_traced_name
+
+
+@pytest.mark.parametrize("name, command", [
+    ("run_windows", "compute"),
+    ("load_log", "compute"),
+    ("load_log", "export"),
+    ("load_snapshot", "validate"),
+    ("load_snapshot", "stats"),
+    ("load_snapshot", "export"),
+    ("pearson", "validate"),
+    ("distribution_stats", "stats"),
+])
+def test_command_calls_the_traced_name_through_the_cli_module(tmp_path, capsys, monkeypatch,
+                                                               name, command):
+    original = getattr(cli, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    code, _, err = _run(capsys, command, *_tiny_commands(tmp_path)[command])
+    assert (code, err, calls) == (0, "", [name])
 
 
 def test_tests_import_only_the_standard_library_pytest_and_the_package():
