@@ -204,10 +204,19 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _dot_quote(token: str) -> str:
-    return '"' + token.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if '"' in token or "\\" in token:  # rarely: a test costs less than a replace
+        token = token.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{token}"'
+
+
+_DOT_CHUNK = 4096  # lines rendered per write
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    from collections import Counter
+    from itertools import chain, filterfalse, repeat
+    from operator import attrgetter
+
     from .config import check_reputation
     from .store import replacing
 
@@ -215,25 +224,35 @@ def cmd_export(args: argparse.Namespace) -> int:
     state = _cli.load_snapshot(args.snapshot)
     records = _cli.load_log(args.log)
     values = state.values
-    edges: dict[tuple[str, str], int] = {}
-    # Popping frees each record as it is counted, so the edge keys reuse its
-    # memory instead of adding to the log's.
+    edges: Counter[tuple[str, str]] = Counter()
+    # Taking the records off the list a chunk at a time frees each chunk as
+    # it is counted, so the edge keys reuse its memory instead of adding to
+    # the log's.
+    edge_of = attrgetter("rater", "ratee")
     while records:
-        rec = records.pop()
-        edge = (rec.rater, rec.ratee)
-        edges[edge] = edges.get(edge, 0) + 1
-    log_only = {pid for edge in edges for pid in edge if pid not in values}
+        edges.update(map(edge_of, records[-_DOT_CHUNK:]))
+        del records[-_DOT_CHUNK:]
+    log_only = set(filterfalse(values.__contains__, chain.from_iterable(edges)))
+    nodes = sorted([*values, *log_only])
 
-    # Each line goes to the file as it is rendered, so the graph is never
-    # held whole; the file opens only once both inputs have parsed.
+    # The graph is written a chunk of lines at a time, never held whole; the
+    # file opens only once both inputs have parsed.
     with replacing(args.out) as (staged,), open(staged, "w", encoding="utf-8") as out:
         out.write("digraph reputation {\n")
-        for pid in sorted([*values, *log_only]):
-            weight = values.get(pid, args.default_reputation)
-            out.write(f"  {_dot_quote(pid)} [weight={weight!r}];\n")
-        for edge in sorted(edges):
-            rater, ratee = edge
-            out.write(f"  {_dot_quote(rater)} -> {_dot_quote(ratee)} [weight={edges[edge]}];\n")
+        for i in range(0, len(nodes), _DOT_CHUNK):
+            chunk = nodes[i:i + _DOT_CHUNK]
+            out.write("".join(map(
+                "  {} [weight={!r}];\n".format,
+                map(_dot_quote, chunk), map(values.get, chunk, repeat(args.default_reputation)),
+            )))
+        ordered = sorted(edges)
+        for i in range(0, len(ordered), _DOT_CHUNK):
+            chunk = ordered[i:i + _DOT_CHUNK]
+            raters, ratees = zip(*chunk)
+            out.write("".join(map(
+                "  {} -> {} [weight={}];\n".format,
+                map(_dot_quote, raters), map(_dot_quote, ratees), map(edges.__getitem__, chunk),
+            )))
         out.write("}\n")
     return 0
 

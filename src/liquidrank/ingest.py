@@ -11,18 +11,38 @@ its JSON type: a string for the ids, kind and labels, a number for value
 and weight, an integer for timestamp.  A missing or empty weight defaults
 to 1.0 so unbacked ratings still count with unit weight.
 Records are validated on parse and errors carry 1-based line numbers.
+
+A CSV log is read a slice at a time (``model.plain_csv_columns``): each
+slice's columns are checked and converted whole, and the records built
+from them in C.  The per-row loop, ``_parse_csv_rows``, is the only code
+that raises.  When a slice is not plain CSV, or fails any column check,
+that loop reads the whole text again from line 1, so the bulk path accepts
+nothing the loop rejects, and returns the same records in the same order.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import operator
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
+from typing import Iterable
 
 from .errors import ConfigError, RecordError
-from .model import Kind, RatingRecord, TimeWindow, csv_rows, decode_input, text_lines
+from .model import (
+    Kind,
+    RatingRecord,
+    TimeWindow,
+    csv_rows,
+    decode_input,
+    plain_csv_columns,
+    text_lines,
+)
 
 
 @dataclass(frozen=True)
@@ -120,7 +140,60 @@ def _build_record(line: int, fields: list) -> RatingRecord:
         raise RecordError(str(exc), line) from None
 
 
+# Builds a record from all nine fields in one tuple, in C, skipping the
+# checks in RatingRecord.__new__: only for fields _plain_records has checked.
+_record = functools.partial(tuple.__new__, RatingRecord)
+# dict.get(field, field) maps only the empty field, as ``or`` does in
+# _build_record: an empty label is None and an empty weight 1.0.
+_EMPTY_LABEL = {"": None}
+_EMPTY_WEIGHT = {"": 1.0}
+
+
+def _labels(column: tuple[str, ...]) -> Iterable[str | None]:
+    return map(_EMPTY_LABEL.get, column, column) if any(column) else repeat(None)
+
+
+def _plain_records(rater, ratee, kind, aspect, category, value, weight, event, timestamp):
+    """The records of one slice's columns, or None where a row might fail.
+
+    Each check stands for one of ``_build_record``'s on a whole column.
+    ``model.plain_csv_columns`` has ruled out a comma, line break or lone
+    surrogate in an id.  A NaN or infinity makes a column's sum
+    non-finite, so ``min`` and ``max`` compare numbers only.
+    """
+    if not (all(rater) and all(ratee)) or any(map(operator.eq, rater, ratee)):
+        return None
+    if not _KINDS.keys() >= set(kind):
+        return None
+    if "" in weight:
+        weight = map(_EMPTY_WEIGHT.get, weight, weight)
+    try:
+        values = list(map(float, value))
+        weights = list(map(float, weight))
+        stamps = list(map(int, timestamp))
+    except ValueError:
+        return None
+    if not (math.isfinite(sum(values)) and min(values) >= -1.0 and max(values) <= 1.0):
+        return None
+    if not (math.isfinite(sum(weights)) and min(weights) >= 0.0):
+        return None
+    return map(_record, zip(
+        rater, ratee, map(_KINDS.__getitem__, kind), values, weights,
+        _labels(aspect), _labels(category), _labels(event), stamps,
+    ))
+
+
 def _parse_csv(text: str) -> list[RatingRecord]:
+    records: list[RatingRecord] = []
+    for columns in plain_csv_columns(text, len(_FIELDS)):
+        batch = None if columns is None else _plain_records(*columns)
+        if batch is None:
+            return _parse_csv_rows(text)
+        records += batch
+    return records
+
+
+def _parse_csv_rows(text: str) -> list[RatingRecord]:
     records = []
     for line, row in csv_rows(text):
         if len(row) != len(_FIELDS):

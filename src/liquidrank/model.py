@@ -11,6 +11,9 @@ and reference lists all go through it.  :func:`decode_input` decodes every
 input file, data and config alike, and translates no line ending;
 :func:`text_lines` splits each log, snapshot, reference list and config
 into lines and :func:`csv_rows` splits the CSV ones into rows.
+:func:`plain_csv_columns` is the bulk form of ``csv_rows`` for logs and
+reference lists that need no quoting rules; see its docstring for when it
+applies.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import enum
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterator
+from itertools import repeat
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import LiquidRankError, RecordError
 
@@ -47,17 +51,27 @@ _LINE = re.compile(r"[^\n]*\n|[^\n]+")
 _SLICE = 1 << 16  # characters per findall call, rounded up to a line end
 
 
+def text_slices(text: str, start: int = 0) -> Iterator[tuple[int, int]]:
+    """Bounds of the slices of ``text`` from ``start``, each ending at a line end.
+
+    A slice holds ``_SLICE`` characters, rounded up to the next "\\n" or
+    to the end of ``text``, so every line lies in exactly one slice.
+    """
+    size = len(text)
+    while start < size:
+        end = text.find("\n", start + _SLICE - 1) + 1 or size
+        yield start, end
+        start = end
+
+
 def text_lines(text: str) -> Iterator[str]:
     """The lines of ``text`` one at a time, each with its "\\n" if it has one.
 
     Lines end at "\\n" only, as in ``io.StringIO(text).readlines()``, but
     with no 4-byte-a-character copy of ``text``: one slice of lines at a time.
     """
-    start, size = 0, len(text)
-    while start < size:
-        end = text.find("\n", start + _SLICE - 1) + 1 or size
+    for start, end in text_slices(text):
         yield from _LINE.findall(text, start, end)
-        start = end
 
 
 def csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -68,6 +82,37 @@ def csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
     except csv.Error as exc:  # its advice after " - " is about opening files
         reason = str(exc).partition(" - ")[0]
         raise RecordError(f"malformed CSV row: {reason}", reader.line_num) from None
+
+
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
+def plain_csv_columns(text: str, width: int) -> Iterator[list[tuple[str, ...]] | None]:
+    """The columns of each slice of ``text``, while it reads as plain CSV.
+
+    Plain CSV holds no '"', CR, NUL or lone surrogate, no slice of it is
+    longer than ``csv.field_size_limit()``, and each of its non-blank lines
+    has ``width`` fields.  On such text :func:`csv_rows` gives exactly the
+    non-blank lines split at every ",", so that is what this yields: one
+    list of ``width`` columns per slice, each column a tuple of fields in
+    line order.  A slice that is not plain yields ``None`` and ends the
+    iteration; the caller then reads the whole text through ``csv_rows``.
+    """
+    limit = csv.field_size_limit()
+    for start, end in text_slices(text):
+        chunk = text[start:end]
+        if (end - start > limit or '"' in chunk or "\r" in chunk or "\0" in chunk
+                or not chunk.isascii() and _SURROGATE.search(chunk)):
+            break
+        rows = list(map(str.split, filter(None, chunk.split("\n")), repeat(",")))
+        if not rows:  # blank lines only
+            continue
+        if set(map(len, rows)) != {width}:
+            break
+        yield list(zip(*rows))
+    else:
+        return
+    yield None  # after a break: this slice is not plain
 
 
 def check_participant_id(token: str, role: str, line: int | None = None) -> None:
@@ -90,21 +135,9 @@ class Kind(str, enum.Enum):
     TRANSACTION = "transaction"
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class RatingRecord:
-    """One rating event from the input log.
-
-    ``value`` is the rating itself, in [-1, 1].  ``weight`` is the financial
-    backing: staked amount for :data:`Kind.STAKE`, transaction value for
-    :data:`Kind.TRANSACTION`.  A stake counts only in its own window; one with
-    value 0 contributes nothing and revokes no earlier stake (ROADMAP item 10).
-
-    The constructor is written out, not generated, because it runs once per
-    log line: it checks the fields and sets them with one local
-    ``object.__setattr__`` instead of a generated ``__init__`` followed by a
-    ``__post_init__`` call.  ``dataclasses.replace`` goes through it too.
-    """
-
+# A NamedTuple class may not define its own __new__, so RatingRecord adds
+# the checks in a subclass of this one.
+class _RatingFields(NamedTuple):
     rater: ParticipantId
     ratee: ParticipantId
     kind: Kind
@@ -115,8 +148,25 @@ class RatingRecord:
     event: str | None
     timestamp: int
 
-    def __init__(
-        self,
+
+class RatingRecord(_RatingFields):
+    """One rating event from the input log.
+
+    ``value`` is the rating itself, in [-1, 1].  ``weight`` is the financial
+    backing: staked amount for :data:`Kind.STAKE`, transaction value for
+    :data:`Kind.TRANSACTION`.  A stake counts only in its own window; one with
+    value 0 contributes nothing and revokes no earlier stake (ROADMAP item 10).
+
+    A record is a named tuple, because a log holds one per line: the CSV
+    reader checks whole columns and then builds records in C with
+    ``tuple.__new__``.  Every other way in checks its fields in ``__new__``;
+    ``_make``, and so ``_replace``, go through it too.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
         rater: ParticipantId,
         ratee: ParticipantId,
         kind: Kind,
@@ -126,7 +176,7 @@ class RatingRecord:
         category: str | None = None,
         event: str | None = None,
         timestamp: int = 0,
-    ) -> None:
+    ) -> RatingRecord:
         check_participant_id(rater, "rater")
         check_participant_id(ratee, "ratee")
         if rater == ratee:
@@ -137,16 +187,13 @@ class RatingRecord:
             raise RecordError(f"rating value {value!r} outside [-1, 1]")
         if not (math.isfinite(weight) and weight >= 0.0):
             raise RecordError(f"rating weight {weight!r} must be finite and non-negative")
-        set_field = object.__setattr__
-        set_field(self, "rater", rater)
-        set_field(self, "ratee", ratee)
-        set_field(self, "kind", kind)
-        set_field(self, "value", value)
-        set_field(self, "weight", weight)
-        set_field(self, "aspect", aspect)
-        set_field(self, "category", category)
-        set_field(self, "event", event)
-        set_field(self, "timestamp", timestamp)
+        return tuple.__new__(
+            cls, (rater, ratee, kind, value, weight, aspect, category, event, timestamp),
+        )
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> RatingRecord:
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)

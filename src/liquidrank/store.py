@@ -26,11 +26,21 @@ an id has gone or the cache is behind.  A put that raises clears the
 cache, so the state it rejected never serves as the base of the next one.
 Without a touched set, or without a cache, ``serialize_state`` renders
 every row, so the bytes never depend on the cache.
+
+``deserialize_state`` reads the rows a slice at a time: one anchored regex
+``findall`` takes every row of a slice that is written as ``serialize_state``
+writes it (an id, a comma, ASCII digits, ".", "-" and "e", and a line end),
+and the slice's values are then converted and range-checked as one column.
+The per-row loop, ``_row_values``, is the only code that raises.  When a
+slice holds any other row, a value out of range or a repeated id, that loop
+reads every row again from line 2, so the bulk path accepts nothing the loop
+rejects, and returns the same values in the same order.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -41,7 +51,14 @@ from .errors import (
     StoreConflictError,
     StoreOrderingError,
 )
-from .model import ParticipantId, ReputationState, check_participant_id, decode_input, text_lines
+from .model import (
+    ParticipantId,
+    ReputationState,
+    check_participant_id,
+    decode_input,
+    text_lines,
+    text_slices,
+)
 
 
 @contextmanager
@@ -138,20 +155,56 @@ def deserialize_state(data: bytes) -> ReputationState:
     Each id must pass ``model.check_participant_id`` and each value lie in
     [0, 1]; a bad row is a record error naming its line.
     """
-    lines = text_lines(decode_input(data))
+    text = decode_input(data)
+    lines = text_lines(text)
     header = next(lines, None)
     if header is None:
         raise RecordError("empty snapshot", 1)
-    # int() and float() also take "+", "_", other scripts' digits and space,
-    # which serialize_state never writes: a number may leave only its line end.
-    line_ends = ("\n", "\r\n", "")
     try:
         at = int(header)
     except ValueError:
         at = None
-    if at is None or header.removeprefix(str(at)) not in line_ends:
+    if at is None or header.removeprefix(str(at)) not in _LINE_ENDS:
         header = header.removesuffix("\n")
         raise RecordError(f"snapshot header {header!r} is not a timestamp", 1)
+    values = _plain_values(text, len(header))
+    if values is None:
+        values = _row_values(lines)
+    return ReputationState(at=at, values=values)
+
+
+# int() and float() also take "+", "_", other scripts' digits and space,
+# which serialize_state never writes: a number may leave only its line end.
+_LINE_ENDS = ("\n", "\r\n", "")
+# A row as serialize_state writes it, in LF or CRLF.  float() reads every
+# such value as the row loop does, and raises where the loop would.
+_ROW = re.compile(r"^([^,\n\r]+),([-.0-9e]+)(?:\r?\n|\Z)", re.MULTILINE)
+
+
+def _plain_values(text: str, body: int) -> dict[str, float] | None:
+    """The values of the rows from offset ``body`` on, or None where a row might fail."""
+    values: dict[str, float] = {}
+    for start, end in text_slices(text, body):
+        rows = _ROW.findall(text, start, end)
+        # Each match is one whole line, so all lines match when the counts do.
+        if len(rows) != text.count("\n", start, end) + (text[end - 1] != "\n"):
+            return None
+        ids, raws = zip(*rows)
+        try:
+            column = list(map(float, raws))
+        except ValueError:
+            return None
+        if not (min(column) >= 0.0 and max(column) <= 1.0):
+            return None
+        size = len(values)
+        values.update(zip(ids, column))
+        if len(values) != size + len(ids):  # an id repeated
+            return None
+    return values
+
+
+def _row_values(lines: Iterator[str]) -> dict[str, float]:
+    """The values of the snapshot rows in ``lines``, which start at line 2."""
     values: dict[str, float] = {}
     for lineno, line in enumerate(lines, start=2):
         pid, sep, raw = line.partition(",")
@@ -169,11 +222,11 @@ def deserialize_state(data: bytes) -> ReputationState:
             raise RecordError(f"reputation {value!r} outside [0, 1]", lineno)
         # After leading space, removeprefix keeps all of raw: no line end.
         if (value is None or not raw.isascii() or "+" in raw or "_" in raw
-                or raw.removeprefix(raw.strip()) not in line_ends):
+                or raw.removeprefix(raw.strip()) not in _LINE_ENDS):
             raw = raw.removesuffix("\n")
             raise RecordError(f"reputation {raw!r} is not a number", lineno)
         values[pid] = value
-    return ReputationState(at=at, values=values)
+    return values
 
 
 def state_digest(state: ReputationState) -> str:

@@ -5,6 +5,9 @@ aggregation formulas: filter-based grouping, one comprehension per sum,
 and the final value computed as num / den / aspect_total (the engine
 divides by the product instead).  Shared engine internals are off-limits
 so the two sides stay independent.
+
+The input readers get the same kind of check from :func:`bulk_and_rows`:
+each bulk reader's oracle is the per-row loop it falls back on.
 """
 
 from __future__ import annotations
@@ -12,8 +15,10 @@ from __future__ import annotations
 import math
 import random
 
+from liquidrank import evaluate, ingest, store
 from liquidrank.config import EngineConfig
-from liquidrank.model import Kind, RatingRecord, ReputationState
+from liquidrank.errors import RecordError
+from liquidrank.model import Kind, RatingRecord, ReputationState, decode_input
 
 
 def _rater_weight(rater: str, prev: dict[str, float], cfg: EngineConfig) -> float:
@@ -224,3 +229,48 @@ def assert_maps_close(actual: dict, expected: dict, rel: float = 1e-12) -> None:
         assert math.isclose(got, want, rel_tol=rel, abs_tol=1e-15), (
             f"{key}: engine={got!r} oracle={want!r}"
         )
+
+
+# -- the bulk input readers against their row loops ----------------------------
+
+
+ASIDE = object()  # what a bulk path reads when it hands the text to its row loop
+
+# Per input kind: its reader over file bytes, the patch that turns its bulk
+# path off, so that the row loop reads every row, and the row loop itself.
+_READERS = {
+    "log": (
+        lambda data: ingest.parse_log(decode_input(data), "csv"),
+        (ingest, "_plain_records", lambda *columns: None),
+        (ingest, "_parse_csv_rows"),
+    ),
+    "snapshot": (
+        lambda data: store.deserialize_state(data).values,
+        (store, "_plain_values", lambda text, body: None),
+        (store, "_row_values"),
+    ),
+    "reference": (
+        lambda data: evaluate.parse_reference_list(decode_input(data)),
+        (evaluate, "_add_plain_labels", lambda labels, ids, raws: False),
+        (evaluate, "_reference_rows"),
+    ),
+}
+
+
+def bulk_and_rows(monkeypatch, kind: str, data: bytes) -> tuple[object, object]:
+    """What the bulk path and the row loop of ``kind``'s reader make of ``data``.
+
+    Each is the value read, or the text of the record error raised.  The
+    bulk path's is ASIDE when it steps aside for the row loop; otherwise
+    it must equal the row loop's, repr for repr, so in the same order.
+    """
+    read, bulk_off, (module, loop) = _READERS[kind]
+    outcomes = []
+    for patch in ((module, loop, lambda *args: ASIDE), bulk_off):
+        with monkeypatch.context() as m:
+            m.setattr(*patch)
+            try:
+                outcomes.append(read(data))
+            except RecordError as exc:
+                outcomes.append(f"error: {exc}")
+    return outcomes[0], outcomes[1]

@@ -73,7 +73,7 @@ def test_acceptance_2_reduction_identity():
     for _ in range(100):
         records, prev, cfg = random_instance(rng, kinds=(Kind.STAKE,), with_aspects=False)
         cfg = replace(cfg, aspect_weights={"k0": 1.0}, default_aspect_weight=1.0)
-        labeled = [replace(rec, aspect="k0") for rec in records]
+        labeled = [rec._replace(aspect="k0") for rec in records]
         via_aspect = differential_staked(labeled, prev, cfg)
         via_plain = differential_staked(records, prev, cfg)
         assert via_aspect == via_plain  # bitwise
@@ -86,10 +86,10 @@ def _check_stake_scale(rng):
         rng, kinds=(Kind.STAKE,), max_participants=6, max_ratings=12,
     )
     base = differential_staked(records, prev, cfg)
-    doubled = [replace(rec, weight=rec.weight * 2.0) for rec in records]
+    doubled = [rec._replace(weight=rec.weight * 2.0) for rec in records]
     assert differential_staked(doubled, prev, cfg) == base
     factor = rng.uniform(0.1, 30.0)
-    scaled = [replace(rec, weight=rec.weight * factor) for rec in records]
+    scaled = [rec._replace(weight=rec.weight * factor) for rec in records]
     assert_maps_close(differential_staked(scaled, prev, cfg), base)
 
 

@@ -390,6 +390,14 @@ def test_validate_prints_six_decimal_pearson(tmp_path, capsys):
     assert line == f"pearson {expected:.6f}"
 
 
+@pytest.mark.parametrize("raw", ["\u0661", "+1", " 1", "1 ", "0_0"])
+def test_validate_reads_a_label_only_as_written(tmp_path, capsys, raw):
+    snap = _write_snapshot(tmp_path / "snap.csv", 10, {"a": 0.9, "b": 0.1})
+    ref = _write(tmp_path / "ref.csv", f"a,1\nb,{raw}\n")
+    code, stdout, err = _run(capsys, "validate", "--snapshot", snap, "--reference", ref)
+    assert (code, stdout, err) == (1, "", f"error: line 2: label {raw!r} is not a number\n")
+
+
 def test_validate_constant_snapshot_exits_3(tmp_path, capsys):
     snap = _write_snapshot(tmp_path / "snap.csv", 10,
                            {"a": 0.5, "b": 0.5, "c": 0.5})

@@ -75,7 +75,7 @@ def test_single_unit_aspect_reduces_to_plain_mean():
             rng, kinds=(Kind.STAKE,), with_aspects=False,
         )
         cfg = replace(cfg, aspect_weights={"k0": 1.0}, default_aspect_weight=1.0)
-        labeled = [replace(rec, aspect="k0") for rec in records]
+        labeled = [rec._replace(aspect="k0") for rec in records]
         via_aspect = differential_staked(labeled, prev, cfg)
         via_plain = differential_staked(records, prev, cfg)
         assert via_aspect == via_plain  # bitwise: same arithmetic sequence
@@ -90,11 +90,11 @@ def test_stake_scale_invariance():
         base = differential_staked(records, prev, cfg)
         # power-of-two scaling is exact in binary floating point
         for factor in (0.25, 2.0, 1024.0):
-            scaled = [replace(rec, weight=rec.weight * factor) for rec in records]
+            scaled = [rec._replace(weight=rec.weight * factor) for rec in records]
             assert differential_staked(scaled, prev, cfg) == base
         # arbitrary positive factors agree up to rounding
         factor = rng.uniform(0.1, 30.0)
-        scaled = [replace(rec, weight=rec.weight * factor) for rec in records]
+        scaled = [rec._replace(weight=rec.weight * factor) for rec in records]
         assert_maps_close(differential_staked(scaled, prev, cfg), base, rel=1e-12)
 
 

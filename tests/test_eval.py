@@ -219,6 +219,22 @@ def test_reference_rejects_duplicates_and_shape():
         parse_reference_list("a,1\nb,0\rc,1\n")  # rows end at "\n" only
 
 
+@pytest.mark.parametrize("raw", ["\u0661", "+1", " 1", "1 ", "0_0"])
+def test_reference_reads_a_label_only_as_written(raw):
+    # float() reads each of these as 0 or 1.
+    with pytest.raises(RecordError) as err:
+        parse_reference_list(f"a,1\nb,{raw}\n")
+    assert str(err.value) == f"line 2: label {raw!r} is not a number"
+
+
+def test_reference_labels_as_written_still_read():
+    text = "a,0\nb,1\nc,0.0\nd,1.0\n"
+    assert parse_reference_list(text) == {"a": 0.0, "b": 1.0, "c": 0.0, "d": 1.0}
+    # A value other than 0 or 1 keeps its message, with or without a sign.
+    with pytest.raises(RecordError, match="^line 1: label must be 0 or 1, got '\\+2'$"):
+        parse_reference_list("a,+2\n")
+
+
 def test_load_reference_list_from_file(tmp_path):
     path = tmp_path / "ref.csv"
     path.write_text("alice,1.0\nbob,0.0\n")

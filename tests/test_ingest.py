@@ -316,6 +316,17 @@ def test_record_rejects_a_kind_given_as_text():
         RatingRecord("a", "b", "stake", 0.5)
 
 
+def test_replace_and_make_run_the_record_checks_again():
+    rec = RatingRecord("a", "b", Kind.STAKE, 0.5, 2.0, timestamp=7)
+    assert rec._replace(weight=3.0) == RatingRecord("a", "b", Kind.STAKE, 0.5, 3.0, timestamp=7)
+    with pytest.raises(RecordError, match="rating weight -1.0 must be finite"):
+        rec._replace(weight=-1.0)
+    with pytest.raises(RecordError, match="self-rating by 'a'"):
+        rec._replace(ratee=rec.rater)
+    with pytest.raises(RecordError, match="rating value 2.0 outside"):
+        RatingRecord._make(["a", "b", Kind.STAKE, 2.0, 1.0, None, None, None, 0])
+
+
 def test_window_rejects_bounds_out_of_order():
     with pytest.raises(ValueError, match="t_origin <= t_prev <= t_now"):
         TimeWindow(5, 3, 10)

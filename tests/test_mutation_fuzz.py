@@ -4,8 +4,10 @@ Each case applies 1 to 4 edits to a valid rating log (CSV and JSONL),
 snapshot, reference list or config file: a byte deleted, replaced or
 inserted, a token that parsers tend to mistake inserted, or a line or
 field repeated.  A loader must return or raise a ``RecordError`` that
-names its line; ``compute`` must exit 0 or 1, and every snapshot of a
-run that exits 0 must hold finite values in [0, 1]; ``stats``,
+names its line, and a CSV log, snapshot or reference list that a bulk
+reader reads must read the same through its row loop (see
+``tests/test_input_text.py``); ``compute`` must exit 0 or 1, and every
+snapshot of a run that exits 0 must hold finite values in [0, 1]; ``stats``,
 ``validate`` and ``export`` must exit 0, 1 or 3, every exit 1 with one
 ``error:`` line that names the bad line; and a mutated config must make
 ``compute`` and ``simulate`` exit 0 or 2.  The seed and case counts are
@@ -27,6 +29,8 @@ from liquidrank.errors import RecordError
 from liquidrank.evaluate import load_reference_list
 from liquidrank.ingest import load_log
 from liquidrank.store import load_snapshot
+
+from oracles import ASIDE, bulk_and_rows
 
 _CSV_LOG = (
     "alice,bob,stake,,,1.0,1,,100\n"
@@ -128,6 +132,19 @@ def test_loader_returns_or_names_the_bad_line(tmp_path, name):
             load(path)
         except RecordError as exc:
             assert exc.line is not None, (data, exc)
+
+
+@pytest.mark.parametrize("name, kind", [
+    ("ratings.csv", "log"), ("snapshot.csv", "snapshot"), ("reference.csv", "reference"),
+])
+def test_bulk_reader_steps_aside_or_reads_as_its_row_loop(monkeypatch, name, kind):
+    read = 0
+    for data in _cases(2018, name, _INPUTS[name][0], 1000):
+        bulk, rows = bulk_and_rows(monkeypatch, kind, data)
+        if bulk is not ASIDE:
+            assert repr(bulk) == repr(rows), data
+            read += 1
+    assert read >= 100  # the bulk path reads many mutants: a field changed, a line repeated
 
 
 def _assert_snapshots_in_unit_range(out_dir):
